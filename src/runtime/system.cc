@@ -1,11 +1,13 @@
 #include "runtime/system.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 
 #include "common/bitfield.hh"
 #include "common/logging.hh"
 #include "engine/event_queue.hh"
+#include "runtime/int8_dot.hh"
 
 namespace maicc
 {
@@ -27,6 +29,40 @@ Cycles
 vecLinkOccupancy(unsigned n_bits)
 {
     return Cycles(n_bits) * 9;
+}
+
+/**
+ * Copy the R*S*C input window of every output pixel of row @p oh
+ * into @p patches (one run of R*S*C bytes per pixel, zeros where the
+ * window falls in the padding) and return the row's in-bound taps.
+ */
+uint64_t
+gatherRowPatches(const LayerSpec &l, const Tensor3 &in, int oh,
+                 int8_t *patches)
+{
+    const size_t c = size_t(l.inC);
+    const size_t s_bytes = size_t(l.S) * c;
+    uint64_t taps = 0;
+    for (int ow = 0; ow < l.outW(); ++ow) {
+        int iw0 = ow * l.stride - l.pad;
+        int s_lo = std::clamp(-iw0, 0, l.S);
+        int s_hi = std::clamp(l.inW - iw0, s_lo, l.S);
+        for (int r = 0; r < l.R; ++r, patches += s_bytes) {
+            int ih = oh * l.stride + r - l.pad;
+            if (ih < 0 || ih >= l.inH || s_lo == s_hi) {
+                std::memset(patches, 0, s_bytes);
+                continue;
+            }
+            std::memset(patches, 0, size_t(s_lo) * c);
+            std::memcpy(patches + size_t(s_lo) * c,
+                        &in.data[in.index(ih, iw0 + s_lo, 0)],
+                        size_t(s_hi - s_lo) * c);
+            std::memset(patches + size_t(s_hi) * c, 0,
+                        size_t(l.S - s_hi) * c);
+            taps += unsigned(s_hi - s_lo);
+        }
+    }
+    return taps;
 }
 
 } // namespace
@@ -329,70 +365,58 @@ MaiccSystem::runLayer(const Segment &seg,
     stats.lastOutput = last_out;
 
     // --- Functional compute, partitioned exactly as mapped. ---
-    // Parallel node stepping: every unit (one compute node's
-    // filter fragment) contributes to every output pixel, but each
-    // *output row* is written by exactly one shard, so sharding by
-    // rows gives each worker a disjoint slice of `acc` and
-    // `output_out` — no merge buffers, and per-pixel accumulation
-    // visits units in the same order as the serial loop, so the
-    // int32 partial-sum merge (the NoC merge pass) is bitwise
-    // identical at any thread count. Per-shard MAC counters are
-    // the per-thread stat accumulators, summed in shard order at
-    // the barrier.
-    std::vector<int32_t> acc(out_pixels * l.outC, 0);
-    output_out = Tensor3(out_h, out_w, l.outC);
+    // Each *output row* is written by exactly one shard, so every
+    // worker owns a disjoint slice of `output_out`. The units (node
+    // filter fragments) and the NoC merge of their int32 partial
+    // sums fold into one dot product per (pixel, filter): integer
+    // addition is associative and the sums cannot overflow, so the
+    // tensors are bitwise identical to any split, at any thread
+    // count, on either dotTile() body. Every unit still spends one
+    // MAC per in-bound tap. Per-shard MAC counters are summed in
+    // shard order at the barrier.
     const Weights4 &w = weights[lm.layerIdx];
+    const size_t rsc = size_t(l.R) * l.S * l.inC;
+    const size_t row_len = size_t(out_w) * l.outC;
+    maicc_assert(w.data.size() == size_t(l.outC) * rsc);
+    maicc_assert(!residual
+                 || residual->data.size() == out_pixels * l.outC);
+    output_out = Tensor3(out_h, out_w, l.outC);
+    const DotTileFn dot = dotTile();
     size_t f_shards = defaultShards(size_t(out_h));
     std::vector<uint64_t> shard_macs(f_shards, 0);
     pool->forShards(size_t(out_h), [&](size_t shard,
                                        ShardRange rows) {
-        uint64_t macs = 0;
-        for (unsigned unit = 0; unit < units; ++unit) {
-            unsigned m = unit / splits;
-            unsigned si = unit % splits;
-            int c_lo = int(si) * 256;
-            int c_hi = std::min(l.inC, c_lo + 256);
-            for (size_t oh = rows.begin; oh < rows.end; ++oh) {
-                for (int ow = 0; ow < out_w; ++ow) {
-                    int32_t sum = 0;
-                    for (int r = 0; r < l.R; ++r) {
-                        int ih = int(oh) * l.stride + r - l.pad;
-                        if (ih < 0 || ih >= l.inH)
-                            continue;
-                        for (int s = 0; s < l.S; ++s) {
-                            int iw = ow * l.stride + s - l.pad;
-                            if (iw < 0 || iw >= l.inW)
-                                continue;
-                            ++macs;
-                            const int8_t *in_px =
-                                &input.data[input.index(ih, iw, 0)];
-                            const int8_t *w_px =
-                                &w.data[w.index(m, r, s, 0)];
-                            for (int c = c_lo; c < c_hi; ++c) {
-                                sum += int32_t(in_px[c]) * w_px[c];
-                            }
+        uint64_t taps = 0;
+        std::vector<int8_t> patches(size_t(out_w) * rsc);
+        int32_t sums[kTilePixels * kTileFilters];
+        for (size_t oh = rows.begin; oh < rows.end; ++oh) {
+            taps += gatherRowPatches(l, input, int(oh),
+                                     patches.data());
+            int8_t *out_row = &output_out.data[oh * row_len];
+            const int8_t *res_row =
+                residual ? &residual->data[oh * row_len] : nullptr;
+            for (int m = 0; m < l.outC; m += kTileFilters) {
+                int n_flt = std::min(kTileFilters, l.outC - m);
+                for (int ow = 0; ow < out_w; ow += kTilePixels) {
+                    int n_px = std::min(kTilePixels, out_w - ow);
+                    dot(&patches[size_t(ow) * rsc], n_px,
+                        &w.data[size_t(m) * rsc], n_flt, rsc, sums);
+                    // Aux functions (residual add / ReLU /
+                    // requantize) straight from the tile sums.
+                    for (int p = 0; p < n_px; ++p) {
+                        size_t o = size_t(ow + p) * l.outC + m;
+                        for (int f = 0; f < n_flt; ++f) {
+                            int32_t v = sums[p * kTileFilters + f];
+                            if (res_row)
+                                v += int32_t(res_row[o + f]) << l.shift;
+                            out_row[o + f] =
+                                requantize(v, l.shift, l.relu);
                         }
                     }
-                    acc[(oh * out_w + ow) * l.outC + m] += sum;
                 }
             }
         }
-        // Aux functions (requantize / ReLU / residual add) run on
-        // the same rows once all of the shard's units finished.
-        for (size_t oh = rows.begin; oh < rows.end; ++oh) {
-            for (int ow = 0; ow < out_w; ++ow) {
-                for (int m = 0; m < l.outC; ++m) {
-                    int32_t v = acc[(oh * out_w + ow) * l.outC + m];
-                    if (residual) {
-                        v += int32_t(residual->at(int(oh), ow, m))
-                            << l.shift;
-                    }
-                    output_out.at(int(oh), ow, m) =
-                        requantize(v, l.shift, l.relu);
-                }
-            }
-        }
-        shard_macs[shard] = macs;
+        shard_macs[shard] = taps * units;
     });
     uint64_t mac_count = 0;
     for (uint64_t c : shard_macs)

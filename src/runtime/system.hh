@@ -12,9 +12,11 @@
  * explicitly as timing recurrences over pixel-vector tokens with
  * single-buffer back-pressure between chained cores.
  *
- * The simulation is also *functional*: every compute core's filter
- * fragments produce real int8 partial sums, partial sums are
- * merged across channel splits, and auxiliary functions
+ * The simulation is also *functional*: every output is the real
+ * int8 dot product the mapped filter fragments and their merge
+ * compute (one vectorised dot product per pixel and filter, equal
+ * to any channel split by integer associativity; see
+ * runtime/int8_dot.hh), and auxiliary functions
  * (ReLU / requantization / residual add / pooling) run exactly as
  * in nn/reference.hh — the final fmaps are compared bit-exactly
  * against the reference executor in the tests.
