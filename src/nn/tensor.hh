@@ -10,6 +10,7 @@
 #ifndef MAICC_NN_TENSOR_HH
 #define MAICC_NN_TENSOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -95,18 +96,15 @@ struct Weights4
     }
 };
 
-/** Saturating int32 -> int8 requantization used across the repo. */
+/**
+ * Saturating int32 -> int8 requantization used across the repo.
+ * Branch-free, so a loop of it over contiguous sums vectorises.
+ */
 inline int8_t
 requantize(int32_t acc, unsigned shift, bool relu)
 {
-    if (relu && acc < 0)
-        acc = 0;
-    acc >>= shift;
-    if (acc > 127)
-        acc = 127;
-    if (acc < -128)
-        acc = -128;
-    return static_cast<int8_t>(acc);
+    acc = std::max(acc, relu ? 0 : INT32_MIN) >> shift;
+    return static_cast<int8_t>(std::clamp(acc, -128, 127));
 }
 
 } // namespace maicc

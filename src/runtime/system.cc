@@ -32,18 +32,21 @@ vecLinkOccupancy(unsigned n_bits)
 }
 
 /**
- * Copy the R*S*C input window of every output pixel of row @p oh
- * into @p patches (one run of R*S*C bytes per pixel, zeros where the
- * window falls in the padding) and return the row's in-bound taps.
+ * Copy the R*S*C input window of output pixels [q, q + n) (row-major
+ * over the output plane) into @p patches, one run of R*S*C bytes per
+ * pixel with zeros where the window falls in the padding, and return
+ * their in-bound taps.
  */
 uint64_t
-gatherRowPatches(const LayerSpec &l, const Tensor3 &in, int oh,
-                 int8_t *patches)
+gatherPatches(const LayerSpec &l, const Tensor3 &in, size_t q, int n,
+              int8_t *patches)
 {
     const size_t c = size_t(l.inC);
     const size_t s_bytes = size_t(l.S) * c;
     uint64_t taps = 0;
-    for (int ow = 0; ow < l.outW(); ++ow) {
+    for (int i = 0; i < n; ++i) {
+        int oh = int((q + i) / l.outW());
+        int ow = int((q + i) % l.outW());
         int iw0 = ow * l.stride - l.pad;
         int s_lo = std::clamp(-iw0, 0, l.S);
         int s_hi = std::clamp(l.inW - iw0, s_lo, l.S);
@@ -63,6 +66,28 @@ gatherRowPatches(const LayerSpec &l, const Tensor3 &in, int oh,
         }
     }
     return taps;
+}
+
+/**
+ * The aux functions of one output pixel, straight from a tile's
+ * sums: residual add, ReLU and requantization of the first @p n of
+ * kTileFilters sums into @p out (@p res is null without a residual
+ * add). The loop runs over the whole tile row, a fixed trip count,
+ * so g++ vectorises it; only the in-range bytes are stored.
+ */
+void
+auxTileRow(const int32_t *sums, const int8_t *res, int n,
+           unsigned shift, bool relu, int8_t *out)
+{
+    int8_t res_tile[kTileFilters] = {};
+    if (res)
+        std::memcpy(res_tile, res, size_t(n));
+    int8_t out_tile[kTileFilters];
+    for (int f = 0; f < kTileFilters; ++f) {
+        out_tile[f] = requantize(
+            sums[f] + (int32_t(res_tile[f]) << shift), shift, relu);
+    }
+    std::memcpy(out, out_tile, size_t(n));
 }
 
 } // namespace
@@ -365,54 +390,47 @@ MaiccSystem::runLayer(const Segment &seg,
     stats.lastOutput = last_out;
 
     // --- Functional compute, partitioned exactly as mapped. ---
-    // Each *output row* is written by exactly one shard, so every
-    // worker owns a disjoint slice of `output_out`. The units (node
-    // filter fragments) and the NoC merge of their int32 partial
-    // sums fold into one dot product per (pixel, filter): integer
-    // addition is associative and the sums cannot overflow, so the
-    // tensors are bitwise identical to any split, at any thread
-    // count, on either dotTile() body. Every unit still spends one
-    // MAC per in-bound tap. Per-shard MAC counters are summed in
-    // shard order at the barrier.
+    // The output plane is cut into tiles of kTilePixels pixels,
+    // row-major across output rows, and each tile is written by
+    // exactly one shard, so every worker owns a disjoint slice of
+    // `output_out`. The units (node filter fragments) and the NoC
+    // merge of their int32 partial sums fold into one dot product
+    // per (pixel, filter): integer addition is associative and the
+    // sums cannot overflow, so the tensors are bitwise identical to
+    // any split, at any thread count, on any dotTile() body. Every
+    // unit still spends one MAC per in-bound tap. Per-shard MAC
+    // counters are summed in shard order at the barrier.
     const Weights4 &w = weights[lm.layerIdx];
     const size_t rsc = size_t(l.R) * l.S * l.inC;
-    const size_t row_len = size_t(out_w) * l.outC;
     maicc_assert(w.data.size() == size_t(l.outC) * rsc);
     maicc_assert(!residual
                  || residual->data.size() == out_pixels * l.outC);
     output_out = Tensor3(out_h, out_w, l.outC);
     const DotTileFn dot = dotTile();
-    size_t f_shards = defaultShards(size_t(out_h));
+    const size_t px_tiles = divCeil(out_pixels, size_t(kTilePixels));
+    size_t f_shards = defaultShards(px_tiles);
     std::vector<uint64_t> shard_macs(f_shards, 0);
-    pool->forShards(size_t(out_h), [&](size_t shard,
-                                       ShardRange rows) {
+    pool->forShards(px_tiles, [&](size_t shard, ShardRange tiles) {
         uint64_t taps = 0;
-        std::vector<int8_t> patches(size_t(out_w) * rsc);
-        int32_t sums[kTilePixels * kTileFilters];
-        for (size_t oh = rows.begin; oh < rows.end; ++oh) {
-            taps += gatherRowPatches(l, input, int(oh),
-                                     patches.data());
-            int8_t *out_row = &output_out.data[oh * row_len];
-            const int8_t *res_row =
-                residual ? &residual->data[oh * row_len] : nullptr;
+        std::vector<int8_t> patches(size_t(kTilePixels) * rsc);
+        // Sums a partial tile leaves unwritten keep earlier in-range
+        // sums, so the epilogue's full-width pass stays in range.
+        int32_t sums[kTilePixels * kTileFilters] = {};
+        for (size_t t = tiles.begin; t < tiles.end; ++t) {
+            const size_t q = t * kTilePixels;
+            const int n_px =
+                int(std::min(out_pixels - q, size_t(kTilePixels)));
+            taps += gatherPatches(l, input, q, n_px, patches.data());
             for (int m = 0; m < l.outC; m += kTileFilters) {
                 int n_flt = std::min(kTileFilters, l.outC - m);
-                for (int ow = 0; ow < out_w; ow += kTilePixels) {
-                    int n_px = std::min(kTilePixels, out_w - ow);
-                    dot(&patches[size_t(ow) * rsc], n_px,
-                        &w.data[size_t(m) * rsc], n_flt, rsc, sums);
-                    // Aux functions (residual add / ReLU /
-                    // requantize) straight from the tile sums.
-                    for (int p = 0; p < n_px; ++p) {
-                        size_t o = size_t(ow + p) * l.outC + m;
-                        for (int f = 0; f < n_flt; ++f) {
-                            int32_t v = sums[p * kTileFilters + f];
-                            if (res_row)
-                                v += int32_t(res_row[o + f]) << l.shift;
-                            out_row[o + f] =
-                                requantize(v, l.shift, l.relu);
-                        }
-                    }
+                dot(patches.data(), n_px, &w.data[size_t(m) * rsc],
+                    n_flt, rsc, sums);
+                for (int p = 0; p < n_px; ++p) {
+                    size_t o = (q + p) * l.outC + m;
+                    auxTileRow(&sums[p * kTileFilters],
+                               residual ? &residual->data[o] : nullptr,
+                               n_flt, l.shift, l.relu,
+                               &output_out.data[o]);
                 }
             }
         }

@@ -137,6 +137,71 @@ expectedMacActivations(const Network &net)
     return total;
 }
 
+/**
+ * Run @p net on full-range random weights and input from @p rng and
+ * check every tensor against referenceRun and the MAC activations
+ * against the independent tap count.
+ */
+void
+expectMatchesReference(const Network &net, Rng &rng)
+{
+    std::vector<Weights4> w;
+    for (const LayerSpec &l : net.layers) {
+        w.emplace_back();
+        if (l.isCompute()) {
+            w.back() = Weights4(l.outC, l.R, l.S, l.inC);
+            w.back().randomize(rng, -128, 127);
+        }
+    }
+    const LayerSpec &first = net.layer(0);
+    Tensor3 input(first.inH, first.inW, first.inC);
+    input.randomize(rng, -128, 127);
+
+    MaiccSystem sys(net, w);
+    RunResult r =
+        sys.run(planMapping(net, Strategy::Heuristic, 210), input);
+    ReferenceResult ref = referenceRun(net, w, input);
+    ASSERT_EQ(r.layerOutputs.size(), net.size());
+    for (size_t i = 0; i < net.size(); ++i) {
+        EXPECT_EQ(r.layerOutputs[i].data, ref.outputs[i].data)
+            << "layer " << net.layer(i).name;
+    }
+    EXPECT_EQ(r.activity.macActivations, expectedMacActivations(net));
+}
+
+/** A conv layer reading the previous layer (or the input). */
+LayerSpec
+conv(const Network &net, int in_c, int in_hw, int out_c, int k,
+     int stride, int pad)
+{
+    LayerSpec l;
+    l.name = format("conv%zu", net.size());
+    l.kind = LayerKind::Conv;
+    l.inputFrom = int(net.size()) - 1;
+    l.inC = in_c;
+    l.inH = l.inW = in_hw;
+    l.outC = out_c;
+    l.R = l.S = k;
+    l.stride = stride;
+    l.pad = pad;
+    l.relu = true;
+    l.shift = 11;
+    return l;
+}
+
+/** Global average pooling of the last layer's @p c x @p hw x @p hw. */
+LayerSpec
+globalPool(const Network &net, int c, int hw)
+{
+    LayerSpec gap;
+    gap.name = "gap";
+    gap.kind = LayerKind::AvgPool;
+    gap.inputFrom = int(net.size()) - 1;
+    gap.inC = gap.outC = c;
+    gap.inH = gap.inW = gap.R = gap.S = gap.stride = hw;
+    return gap;
+}
+
 } // namespace
 
 TEST(SystemProperty, FullRangeNetworksMatchReferenceBitExactly)
@@ -145,30 +210,7 @@ TEST(SystemProperty, FullRangeNetworksMatchReferenceBitExactly)
     for (uint64_t seed : testseed::seeds({1, 2, 3, 4, 5, 6, 7, 8})) {
         MAICC_SEED_TRACE(seed);
         Rng rng(seed);
-        Network net = randomNetwork(rng, cov);
-        std::vector<Weights4> w;
-        for (const LayerSpec &l : net.layers) {
-            w.emplace_back();
-            if (l.isCompute()) {
-                w.back() = Weights4(l.outC, l.R, l.S, l.inC);
-                w.back().randomize(rng, -128, 127);
-            }
-        }
-        const LayerSpec &first = net.layer(0);
-        Tensor3 input(first.inH, first.inW, first.inC);
-        input.randomize(rng, -128, 127);
-
-        MaiccSystem sys(net, w);
-        RunResult r =
-            sys.run(planMapping(net, Strategy::Heuristic, 210), input);
-        ReferenceResult ref = referenceRun(net, w, input);
-        ASSERT_EQ(r.layerOutputs.size(), net.size());
-        for (size_t i = 0; i < net.size(); ++i) {
-            EXPECT_EQ(r.layerOutputs[i].data, ref.outputs[i].data)
-                << "layer " << net.layer(i).name;
-        }
-        EXPECT_EQ(r.activity.macActivations,
-                  expectedMacActivations(net));
+        expectMatchesReference(randomNetwork(rng, cov), rng);
     }
     // The default seeds must keep reaching every kernel tail; a
     // MAICC_TEST_SEED replay checks one network only.
@@ -180,4 +222,56 @@ TEST(SystemProperty, FullRangeNetworksMatchReferenceBitExactly)
         EXPECT_TRUE(cov.padding);
         EXPECT_TRUE(cov.residual);
     }
+}
+
+TEST(SystemProperty, LinearWith1000Filters)
+{
+    // ResNet18's head: 1000 filters end in a partial 8-filter tile.
+    uint64_t seed = testseed::seedOrDefault(31);
+    MAICC_SEED_TRACE(seed);
+    Rng rng(seed);
+    Network net;
+    net.name = "fc1000";
+    net.layers.push_back(conv(net, 16, 4, 64, 3, 1, 1));
+    net.layers.push_back(globalPool(net, 64, 4));
+    LayerSpec fc;
+    fc.name = "fc";
+    fc.kind = LayerKind::Linear;
+    fc.inputFrom = int(net.size()) - 1;
+    fc.inC = 64;
+    fc.inH = fc.inW = 1;
+    fc.outC = 1000;
+    fc.shift = 10;
+    net.layers.push_back(fc);
+    expectMatchesReference(net, rng);
+}
+
+TEST(SystemProperty, SevenBySevenByThreeStem)
+{
+    // R*S*C = 147 is no multiple of 4 (a partial VNNI group) nor of
+    // 64 (a K tail), and the 14-wide output rows fill no tile.
+    uint64_t seed = testseed::seedOrDefault(37);
+    MAICC_SEED_TRACE(seed);
+    Rng rng(seed);
+    Network net;
+    net.name = "stem";
+    net.layers.push_back(conv(net, 3, 28, 64, 7, 2, 3));
+    expectMatchesReference(net, rng);
+}
+
+TEST(SystemProperty, OutputRowsNarrowerThanATile)
+{
+    // out_w of 14 and 7, below the 16-pixel tile, with a residual
+    // add on the 7-wide layer.
+    uint64_t seed = testseed::seedOrDefault(41);
+    MAICC_SEED_TRACE(seed);
+    Rng rng(seed);
+    Network net;
+    net.name = "narrow";
+    net.layers.push_back(conv(net, 32, 14, 48, 3, 1, 1));
+    net.layers.push_back(conv(net, 48, 14, 40, 3, 2, 1));
+    LayerSpec res = conv(net, 40, 7, 40, 3, 1, 1);
+    res.addFrom = 1;
+    net.layers.push_back(res);
+    expectMatchesReference(net, rng);
 }
