@@ -481,8 +481,10 @@ servingFromJson(const Json &j, ServingConfig &out,
     r.integer("cutoff", out.cutoff);
     r.boolean("selfCheck", out.selfCheck);
     r.integer("chips", out.chips);
-    if (out.chips < 1)
-        r.fail("chips", "expected >= 1");
+    // Shard masks are uint64_t, so 64 chips is the ceiling (the
+    // same bound as --chips).
+    if (out.chips < 1 || out.chips > 64)
+        r.fail("chips", "expected an integer in [1, 64]");
     std::string shard_policy = shardPolicyName(out.shardPolicy);
     r.string("shardPolicy", shard_policy);
     if (!parseShardPolicy(shard_policy, out.shardPolicy))

@@ -5,6 +5,8 @@
 #include <iomanip>
 #include <numeric>
 
+#include "common/logging.hh"
+
 namespace maicc
 {
 
@@ -101,16 +103,45 @@ StatHistogram::mean() const
     return _samples.empty() ? 0.0 : sum() / double(_samples.size());
 }
 
+namespace
+{
+
+/** Nearest rank ceil(p/100 * n), 1-based, clamped to [1, n], as a
+ * 0-based index; @p n > 0. */
+size_t
+nearestRank(double p, size_t n)
+{
+    double rank = std::ceil(p / 100.0 * double(n));
+    size_t idx = rank < 1.0 ? 0 : size_t(rank) - 1;
+    return std::min(idx, n - 1);
+}
+
+} // namespace
+
 double
 StatHistogram::percentile(double p) const
 {
     if (_samples.empty())
         return 0.0;
     ensureSorted();
-    // Nearest rank: ceil(p/100 * n), 1-based, clamped to [1, n].
-    double rank = std::ceil(p / 100.0 * double(_sorted.size()));
-    size_t idx = rank < 1.0 ? 0 : size_t(rank) - 1;
-    return _sorted[std::min(idx, _sorted.size() - 1)];
+    return _sorted[nearestRank(p, _sorted.size())];
+}
+
+std::vector<double>
+selectPercentiles(std::vector<double> &v, const std::vector<double> &ps)
+{
+    std::vector<double> out(ps.size(), 0.0);
+    auto from = v.begin();
+    for (size_t i = 0; i < ps.size() && !v.empty(); ++i) {
+        maicc_assert(i == 0 || ps[i - 1] <= ps[i]);
+        // The previous selection left the larger-or-equal samples
+        // from its position on, and ranks grow with p.
+        auto nth = v.begin() + long(nearestRank(ps[i], v.size()));
+        std::nth_element(from, nth, v.end());
+        from = nth;
+        out[i] = *nth;
+    }
+    return out;
 }
 
 std::string

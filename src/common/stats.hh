@@ -112,6 +112,16 @@ class StatHistogram
 };
 
 /**
+ * The nearest-rank percentiles @p ps (ascending) that
+ * StatHistogram::percentile returns for the samples in @p v, found
+ * by selection instead of a full sort: each selection runs on the
+ * part of @p v above the previous one. Reorders @p v; all 0 when
+ * empty.
+ */
+std::vector<double> selectPercentiles(std::vector<double> &v,
+                                      const std::vector<double> &ps);
+
+/**
  * A flat registry of counters and summaries. Each simulated component
  * owns a StatGroup and registers stats under hierarchical dotted
  * names ("node12.cmem.macOps").

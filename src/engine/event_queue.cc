@@ -1,22 +1,67 @@
 #include "engine/event_queue.hh"
 
+#include <algorithm>
 #include <utility>
+
+#include "common/logging.hh"
 
 namespace maicc
 {
+
+void
+EventQueue::push(const Key &k)
+{
+    heap.push_back(k);
+    std::push_heap(heap.begin(), heap.end(), later);
+}
+
+void
+EventQueue::schedule(Cycles when, int priority, Handler fn)
+{
+    uint32_t slot;
+    if (freeSlots.empty()) {
+        slot = uint32_t(slab.size());
+        maicc_assert(slot < kPersistent);
+        slab.push_back(std::move(fn));
+    } else {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+        slab[slot] = std::move(fn);
+    }
+    push(Key{when, nextSeq++, 0, priority, slot});
+}
+
+EventQueue::HandlerId
+EventQueue::addHandler(PayloadHandler fn)
+{
+    maicc_assert(handlers.size() < kPersistent);
+    handlers.push_back(std::move(fn));
+    return HandlerId(handlers.size() - 1);
+}
 
 bool
 EventQueue::step()
 {
     if (heap.empty())
         return false;
-    // Move the handler out before popping: the handler may
-    // schedule new events, which mutates the heap.
-    Event ev = std::move(const_cast<Event &>(heap.top()));
-    heap.pop();
-    current = ev.when;
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Key k = heap.back();
+    heap.pop_back();
+    current = k.when;
     ++executed;
-    ev.fn(ev.when);
+    if (k.ref & kPersistent) {
+        // deque elements never move, so the handler may register
+        // more handlers while it runs.
+        handlers[k.ref & ~kPersistent](k.when, k.payload);
+        return true;
+    }
+    // Move the handler out and free its slot first: the handler
+    // may schedule new events, which can reuse the slot or grow the
+    // slab. Its captures are released when it returns.
+    Handler fn = std::move(slab[k.ref]);
+    slab[k.ref] = nullptr;
+    freeSlots.push_back(k.ref);
+    fn(k.when);
     return true;
 }
 
@@ -24,7 +69,7 @@ uint64_t
 EventQueue::runUntil(Cycles limit)
 {
     uint64_t n = 0;
-    while (!heap.empty() && heap.top().when <= limit) {
+    while (!heap.empty() && heap.front().when <= limit) {
         step();
         ++n;
     }
@@ -38,6 +83,14 @@ EventQueue::drain()
     while (step())
         ++n;
     return n;
+}
+
+void
+EventQueue::clear()
+{
+    heap.clear();
+    slab.clear();
+    freeSlots.clear();
 }
 
 } // namespace maicc

@@ -24,8 +24,8 @@
 #define MAICC_ENGINE_EVENT_QUEUE_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/types.hh"
@@ -38,12 +38,26 @@ namespace maicc
  * Deterministic discrete-event queue. See the file comment for the
  * ordering contract. Not thread-safe: one queue belongs to one
  * simulation loop on one thread.
+ *
+ * Storage: the heap holds plain (when, priority, seq, ref, payload)
+ * keys, so a sift moves 32 bytes. A one-shot handler lives in a
+ * slab slot that is recycled once the handler has run. A persistent
+ * handler (gem5's member-event style) is registered once with
+ * addHandler() and fired by any number of payload events, which
+ * allocate nothing.
  */
 class EventQueue
 {
   public:
-    /** Callback invoked with the event's cycle. */
+    /** One-shot callback invoked with the event's cycle. */
     using Handler = std::function<void(Cycles)>;
+
+    /** Persistent callback invoked with the cycle and the payload
+     * of each event scheduled on it. */
+    using PayloadHandler = std::function<void(Cycles, uint64_t)>;
+
+    /** Names a PayloadHandler registered with addHandler(). */
+    using HandlerId = uint32_t;
 
     /** "No event" sentinel returned by nextAt(). */
     static constexpr Cycles kNever = ~Cycles(0);
@@ -58,10 +72,25 @@ class EventQueue
      * past of an already-executed event is a contract violation
      * the caller must avoid.
      */
+    void schedule(Cycles when, int priority, Handler fn);
+
+    /**
+     * Register @p fn for payload events; it lives as long as the
+     * queue (clear() keeps it).
+     */
+    HandlerId addHandler(PayloadHandler fn);
+
+    /**
+     * Schedule handler @p h with @p payload at cycle @p when; the
+     * same ordering as the one-shot schedule() above, which shares
+     * its sequence counter.
+     */
     void
-    schedule(Cycles when, int priority, Handler fn)
+    schedule(Cycles when, int priority, HandlerId h,
+             uint64_t payload)
     {
-        heap.push(Event{when, priority, nextSeq++, std::move(fn)});
+        push(Key{when, nextSeq++, payload, priority,
+                 h | kPersistent});
     }
 
     bool empty() const { return heap.empty(); }
@@ -71,7 +100,7 @@ class EventQueue
     Cycles
     nextAt() const
     {
-        return heap.empty() ? kNever : heap.top().when;
+        return heap.empty() ? kNever : heap.front().when;
     }
 
     /** Cycle of the most recently executed event (0 initially). */
@@ -95,40 +124,43 @@ class EventQueue
     /** Run until the queue is empty. @return events executed. */
     uint64_t drain();
 
-    /** Drop all pending events; now()/eventsRun() keep counting. */
-    void
-    clear()
-    {
-        heap = Heap{};
-    }
+    /**
+     * Drop all pending events and their one-shot handlers;
+     * registered handlers stay, and now()/eventsRun() keep
+     * counting.
+     */
+    void clear();
 
   private:
-    struct Event
+    /** Marks a Key::ref naming a registered handler, not a slot. */
+    static constexpr uint32_t kPersistent = 1u << 31;
+
+    struct Key
     {
         Cycles when;
-        int priority;
         uint64_t seq;
-        Handler fn;
+        uint64_t payload;
+        int priority;
+        uint32_t ref; ///< slab slot, or handler id | kPersistent
     };
 
     /** Min-first over (when, priority, seq). */
-    struct Later
+    static bool
+    later(const Key &a, const Key &b)
     {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.priority != b.priority)
-                return a.priority > b.priority;
-            return a.seq > b.seq;
-        }
-    };
+        if (a.when != b.when)
+            return a.when > b.when;
+        if (a.priority != b.priority)
+            return a.priority > b.priority;
+        return a.seq > b.seq;
+    }
 
-    using Heap =
-        std::priority_queue<Event, std::vector<Event>, Later>;
+    void push(const Key &k);
 
-    Heap heap;
+    std::vector<Key> heap; ///< binary min-heap under later()
+    std::vector<Handler> slab;
+    std::vector<uint32_t> freeSlots;
+    std::deque<PayloadHandler> handlers; ///< stable addresses
     uint64_t nextSeq = 0;
     uint64_t executed = 0;
     Cycles current = 0;

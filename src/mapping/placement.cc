@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bitfield.hh"
 #include "common/logging.hh"
 
 namespace maicc
@@ -38,110 +39,121 @@ SegmentPlacement::layerNodes(size_t layer) const
     return out;
 }
 
+namespace
+{
+
+/**
+ * Call @p fn(word, mask) for each 64-bit word the slot range
+ * [first, first + count) touches, with the range's bits in mask.
+ */
+template <typename Fn>
+void
+forEachWord(unsigned first, unsigned count, Fn &&fn)
+{
+    unsigned end = first + count;
+    while (first < end) {
+        unsigned bit = first % 64;
+        unsigned span = std::min(64 - bit, end - first);
+        fn(first / 64, mask(span) << bit);
+        first += span;
+    }
+}
+
+} // namespace
+
 RegionAllocator::RegionAllocator(const ArrayGeometry &geo)
-    : _geo(geo), _used(geo.computeNodes(), false),
-      _dead(geo.computeNodes(), false), _free(geo.computeNodes())
+    : _n(geo.computeNodes()), _used((_n + 63) / 64, 0),
+      _dead(_used.size(), 0), _free(_n), _possible(_n)
 {
 }
 
-std::vector<unsigned>
+bool
+RegionAllocator::test(const Words &w, unsigned slot) const
+{
+    maicc_assert(slot < _n);
+    return (w[slot / 64] >> (slot % 64)) & 1;
+}
+
+unsigned
+RegionAllocator::scan(const Words &w, unsigned from, bool set) const
+{
+    size_t i = from / 64;
+    if (i >= w.size())
+        return _n;
+    uint64_t flip = set ? 0 : ~0ull;
+    uint64_t bits = (w[i] ^ flip) & (~0ull << (from % 64));
+    while (bits == 0) {
+        if (++i == w.size())
+            return _n;
+        bits = w[i] ^ flip;
+    }
+    return unsigned(i * 64 + __builtin_ctzll(bits));
+}
+
+unsigned
+RegionAllocator::longestRun(const Words &w) const
+{
+    unsigned best = 0;
+    for (unsigned s = scan(w, 0, false); s < _n;) {
+        unsigned e = scan(w, s, true);
+        best = std::max(best, e - s);
+        s = scan(w, e, false);
+    }
+    return best;
+}
+
+RegionGrant
 RegionAllocator::allocateContiguous(unsigned count)
 {
-    std::vector<unsigned> slots;
     if (count == 0 || count > _free)
-        return slots;
+        return {};
 
-    // First fit: the lowest contiguous serpentine run of length
-    // >= count. No fallback — under fragmentation the caller must
-    // decide (shrink the grant, or wait for a completion to
-    // re-coalesce the region).
-    unsigned run = 0;
-    for (unsigned i = 0; i < _used.size(); ++i) {
-        run = _used[i] ? 0 : run + 1;
-        if (run == count) {
-            slots.reserve(count);
-            for (unsigned s = i + 1 - count; s <= i; ++s)
-                slots.push_back(s);
-            break;
+    // First fit: the lowest free run of length >= count. No
+    // fallback — under fragmentation the caller must decide (shrink
+    // the grant, or wait for a completion to re-coalesce the
+    // region).
+    for (unsigned s = scan(_used, 0, false); s < _n;) {
+        unsigned e = scan(_used, s, true);
+        if (e - s >= count) {
+            forEachWord(s, count, [&](size_t i, uint64_t m) {
+                _used[i] |= m;
+            });
+            _free -= count;
+            return {s, count};
         }
+        s = scan(_used, e, false);
     }
-    for (unsigned s : slots) {
-        _used[s] = true;
-        --_free;
-    }
-    return slots;
-}
-
-unsigned
-RegionAllocator::longestFreeRun() const
-{
-    unsigned best = 0, run = 0;
-    for (unsigned i = 0; i < _used.size(); ++i) {
-        run = _used[i] ? 0 : run + 1;
-        best = std::max(best, run);
-    }
-    return best;
-}
-
-unsigned
-RegionAllocator::longestPossibleRun() const
-{
-    unsigned best = 0, run = 0;
-    for (unsigned i = 0; i < _dead.size(); ++i) {
-        run = _dead[i] ? 0 : run + 1;
-        best = std::max(best, run);
-    }
-    return best;
-}
-
-std::vector<unsigned>
-RegionAllocator::allocate(unsigned count)
-{
-    std::vector<unsigned> slots = allocateContiguous(count);
-    if (!slots.empty() || count == 0 || count > _free)
-        return slots;
-    slots.reserve(count);
-
-    // Fragmented: fall back to the lowest free slots.
-    for (unsigned i = 0; i < _used.size() && slots.size() < count;
-         ++i) {
-        if (!_used[i])
-            slots.push_back(i);
-    }
-    maicc_assert(slots.size() == count);
-    for (unsigned s : slots) {
-        _used[s] = true;
-        --_free;
-    }
-    return slots;
+    return {};
 }
 
 void
-RegionAllocator::release(const std::vector<unsigned> &slots)
+RegionAllocator::release(const RegionGrant &grant)
 {
-    for (unsigned s : slots) {
-        maicc_assert(_used.at(s));
-        maicc_assert(!_dead.at(s));
-        _used[s] = false;
-        ++_free;
-    }
+    maicc_assert(grant.first + grant.count <= _n);
+    forEachWord(grant.first, grant.count, [&](size_t i, uint64_t m) {
+        maicc_assert((_used[i] & m) == m);
+        maicc_assert((_dead[i] & m) == 0);
+        _used[i] &= ~m;
+    });
+    _free += grant.count;
 }
 
 void
 RegionAllocator::markDead(unsigned slot)
 {
-    maicc_assert(slot < _used.size());
-    if (_dead[slot])
+    if (dead(slot))
         return;
     // The serving layer displaces any batch occupying the victim
     // first, so the slot is free here; marking it used-forever is
-    // what makes every existing walk (allocateContiguous,
+    // what makes every run search (allocateContiguous,
     // longestFreeRun) coalesce around it with no extra cases.
-    maicc_assert(!_used[slot]);
-    _used[slot] = true;
-    _dead[slot] = true;
+    maicc_assert(!used(slot));
+    uint64_t bit = 1ull << (slot % 64);
+    _used[slot / 64] |= bit;
+    _dead[slot / 64] |= bit;
     ++_dead_count;
     --_free;
+    _possible = longestRun(_dead);
 }
 
 SegmentPlacement

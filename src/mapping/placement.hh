@@ -11,6 +11,7 @@
 #ifndef MAICC_MAPPING_PLACEMENT_HH
 #define MAICC_MAPPING_PLACEMENT_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -85,21 +86,36 @@ SegmentPlacement placeSegment(const Segment &seg,
  */
 std::string placementSignature(const SegmentPlacement &p);
 
+/** A contiguous serpentine run of slots [first, first + count). */
+struct RegionGrant
+{
+    unsigned first = 0;
+    unsigned count = 0; ///< 0: nothing granted
+
+    bool empty() const { return count == 0; }
+
+    bool
+    contains(unsigned slot) const
+    {
+        return slot >= first && slot - first < count;
+    }
+};
+
 /**
  * Online occupancy tracking of the serpentine compute region for
  * request-driven serving: node groups are allocated when a request
  * is admitted and reclaimed when it completes, so the region
- * fragments and re-coalesces over time. Allocation prefers the
- * lowest contiguous serpentine run (consecutive cores of a chain
- * stay physically adjacent, as in placeSegment).
+ * fragments and re-coalesces over time. Every grant is the lowest
+ * contiguous serpentine run that fits (consecutive cores of a chain
+ * stay physically adjacent, as in placeSegment): service-time
+ * profiles are keyed on (model, cores) and simulated on a
+ * contiguous placement, so a chain scattered across fragmentation
+ * seams would be served with a latency estimate that does not match
+ * its real hop count.
  *
- * The serving admission path uses allocateContiguous() only: its
- * service-time profiles are keyed on (model, cores) and simulated
- * on a contiguous serpentine placement, so a chain scattered across
- * fragmentation seams would be served with a latency estimate that
- * does not match its real hop count. allocate() keeps the
- * lowest-free-slots fallback for callers that only need occupancy
- * accounting (and for modeling a scatter-tolerant allocator).
+ * Slot state is one bit per slot in 64-bit words, so finding a
+ * run, carving it and releasing it cost a few word operations per
+ * free run instead of a walk over every slot.
  */
 class RegionAllocator
 {
@@ -107,46 +123,39 @@ class RegionAllocator
     explicit RegionAllocator(const ArrayGeometry &geo =
                                  ArrayGeometry{});
 
-    unsigned totalNodes() const { return unsigned(_used.size()); }
+    unsigned totalNodes() const { return _n; }
     unsigned freeNodes() const { return _free; }
-    bool used(unsigned slot) const { return _used.at(slot); }
+    bool used(unsigned slot) const { return test(_used, slot); }
 
     /** Slots permanently lost to core faults (see markDead). */
     unsigned deadNodes() const { return _dead_count; }
-    bool dead(unsigned slot) const { return _dead.at(slot); }
-
-    /**
-     * Allocate @p count serpentine slots; the returned indices are
-     * sorted ascending. Empty when fewer than @p count are free
-     * (no partial allocation). Prefers the lowest contiguous run;
-     * falls back to the lowest free slots under fragmentation.
-     */
-    std::vector<unsigned> allocate(unsigned count);
+    bool dead(unsigned slot) const { return test(_dead, slot); }
 
     /**
      * Allocate the lowest *contiguous* run of @p count serpentine
      * slots. Empty (and no change) when fragmentation leaves no
      * run that long — even if @p count slots are free in total.
-     * This is the admission-path allocator: a contiguous run is
-     * exactly the shape the (model, cores) service profile was
-     * simulated on (see placementSignature).
+     * A contiguous run is exactly the shape the (model, cores)
+     * service profile was simulated on (see placementSignature).
      */
-    std::vector<unsigned> allocateContiguous(unsigned count);
+    RegionGrant allocateContiguous(unsigned count);
 
     /** Length of the longest free contiguous serpentine run. */
-    unsigned longestFreeRun() const;
+    unsigned longestFreeRun() const { return longestRun(_used); }
 
     /**
      * Longest contiguous run of *non-dead* slots, regardless of
      * current occupancy: the largest region this allocator can ever
      * satisfy again. The serving layer uses it to spot requests
      * whose minimum region became permanently unservable after a
-     * core-loss fault.
+     * core-loss fault. Kept up to date by markDead, the only call
+     * that changes it.
      */
-    unsigned longestPossibleRun() const;
+    unsigned longestPossibleRun() const { return _possible; }
 
-    /** Release previously allocated @p slots (asserts each used). */
-    void release(const std::vector<unsigned> &slots);
+    /** Release a previously allocated @p grant (asserts each slot
+     * used and not dead). */
+    void release(const RegionGrant &grant);
 
     /**
      * Permanently remove @p slot from the allocatable region
@@ -160,11 +169,26 @@ class RegionAllocator
     void markDead(unsigned slot);
 
   private:
-    ArrayGeometry _geo;
-    std::vector<bool> _used;
-    std::vector<bool> _dead;
+    using Words = std::vector<uint64_t>;
+
+    bool test(const Words &w, unsigned slot) const;
+
+    /**
+     * First slot at or after @p from whose bit equals @p set; at
+     * least totalNodes() when there is none (the clear bits past
+     * the last slot can be found).
+     */
+    unsigned scan(const Words &w, unsigned from, bool set) const;
+
+    /** Longest run of clear bits in @p w. */
+    unsigned longestRun(const Words &w) const;
+
+    unsigned _n = 0;
+    Words _used; ///< dead slots are used too
+    Words _dead;
     unsigned _free = 0;
     unsigned _dead_count = 0;
+    unsigned _possible = 0; ///< longestRun(_dead)
 };
 
 } // namespace maicc

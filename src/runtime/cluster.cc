@@ -1,7 +1,6 @@
 #include "runtime/cluster.hh"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -286,35 +285,38 @@ ClusterSimulator::run()
         // Earliest outstanding completion wake per shard; a wake
         // whose finish was already drained by an earlier duplicate
         // fires as a harmless no-op (DESIGN.md §15 stale rule).
+        // Both event kinds are handlers registered once; a wake's
+        // payload is its shard.
         std::vector<Cycles> armed(nChips, kNever);
-        std::function<void(unsigned, Cycles)> arm =
-            [&](unsigned s, Cycles) {
-                Cycles nf = shards[s]->nextFinish();
-                if (nf == kNever || nf >= armed[s])
-                    return;
-                armed[s] = nf;
-                eq.schedule(nf, int(s), [&, s](Cycles t) {
-                    if (armed[s] <= t)
-                        armed[s] = kNever;
-                    while (shards[s]->nextFinish() == t) {
-                        now = t;
-                        shards[s]->complete(t);
-                        shards[s]->tryAdmit(t);
-                    }
-                    arm(s, t);
-                });
-            };
-        std::function<void(Cycles)> arrive = [&](Cycles t) {
+        EventQueue::HandlerId wake_h = 0, arrive_h = 0;
+        auto arm = [&](unsigned s) {
+            Cycles nf = shards[s]->nextFinish();
+            if (nf == kNever || nf >= armed[s])
+                return;
+            armed[s] = nf;
+            eq.schedule(nf, int(s), wake_h, s);
+        };
+        wake_h = eq.addHandler([&](Cycles t, uint64_t s) {
+            if (armed[s] <= t)
+                armed[s] = kNever;
+            while (shards[s]->nextFinish() == t) {
+                now = t;
+                shards[s]->complete(t);
+                shards[s]->tryAdmit(t);
+            }
+            arm(unsigned(s));
+        });
+        arrive_h = eq.addHandler([&](Cycles t, uint64_t) {
             if (next_arrival + 1 < arrivals.size()) {
                 eq.schedule(arrivals[next_arrival + 1].cycle,
-                            kPrioArrive, arrive);
+                            kPrioArrive, arrive_h, 0);
             }
             int target = dispatch(t);
             if (target >= 0)
-                arm(unsigned(target), t);
-        };
+                arm(unsigned(target));
+        });
         if (!arrivals.empty())
-            eq.schedule(arrivals[0].cycle, kPrioArrive, arrive);
+            eq.schedule(arrivals[0].cycle, kPrioArrive, arrive_h, 0);
         while (!eq.empty()) {
             if (cfg.cutoff && eq.nextAt() > cfg.cutoff)
                 break;

@@ -1,7 +1,7 @@
 #include "runtime/recovery.hh"
 
 #include <algorithm>
-#include <functional>
+#include <deque>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -76,8 +76,8 @@ runRecoveryLoop(const ServingConfig &cfg,
     size_t limbo = 0;
 
     // Timeout staleness guard: every enqueue of a request bumps
-    // its epoch, and a timeout event captured with an older epoch
-    // fires as a no-op (the §15 stale-event rule, applied to
+    // its epoch, and a timeout armed under an older epoch fires as
+    // a no-op (the §15 stale-event rule, applied to
     // requests instead of finish cycles).
     std::vector<unsigned> epoch(res.requests.size(), 0);
 
@@ -132,27 +132,35 @@ runRecoveryLoop(const ServingConfig &cfg,
         return -1;
     };
 
+    // Every event kind is one handler registered once (gem5's
+    // member-event style); an event carries only its payload — the
+    // shard, request or fault index it concerns — so scheduling
+    // allocates nothing. Ids are assigned before any handler runs,
+    // which lets the handlers schedule one another.
+    EventQueue::HandlerId wake_h = 0, timeout_h = 0, retry_h = 0,
+                          arrive_h = 0, fault_h = 0;
+
     // Completion wake-up scheduling per shard, with the armed
     // watermark from the fault-free paths. A fail-stop that kills
     // the armed batch leaves a stale wake behind; the
     // nextFinish()==t re-check makes it a no-op.
     std::vector<Cycles> armed(n_chips, kNever);
-    std::function<void(unsigned, Cycles)> arm = [&](unsigned s,
-                                                    Cycles) {
+    auto arm = [&](unsigned s) {
         Cycles nf = shards[s]->nextFinish();
         if (nf == kNever || nf >= armed[s])
             return;
         armed[s] = nf;
-        eq.schedule(nf, int(s), [&, s](Cycles t) {
-            if (armed[s] <= t)
-                armed[s] = kNever;
-            while (shards[s]->nextFinish() == t) {
-                now = t;
-                shards[s]->complete(t);
-                shards[s]->tryAdmit(t);
-            }
-            arm(s, t);
-        });
+        eq.schedule(nf, int(s), wake_h, s);
+    };
+    auto wake = [&](Cycles t, uint64_t s) {
+        if (armed[s] <= t)
+            armed[s] = kNever;
+        while (shards[s]->nextFinish() == t) {
+            now = t;
+            shards[s]->complete(t);
+            shards[s]->tryAdmit(t);
+        }
+        arm(unsigned(s));
     };
 
     auto resetRecord = [](RequestRecord &r) {
@@ -168,38 +176,65 @@ runRecoveryLoop(const ServingConfig &cfg,
         return cfg.backoffCycles << std::min(k - 1, 20u);
     };
 
-    // Mutually recursive handlers (redispatch arms timeouts whose
-    // retries redispatch), so both are std::functions declared up
-    // front.
-    std::function<bool(uint64_t, Cycles)> redispatch;
-    std::function<void(uint64_t, Cycles)> retryAt;
-
+    // Queueing timeouts. Each is armed timeoutCycles after the
+    // event that enqueued its request, and events run in cycle
+    // order, so deadlines come due in the order they were armed: a
+    // FIFO holds them, and one event at the oldest deadline stands
+    // for all of them. Timeouts due at one cycle then run in arming
+    // order, which is the order their own events would have had in
+    // the timeout lane. Nothing enqueues while the timeout event
+    // runs, so "FIFO non-empty" is exactly "timeout event pending".
+    struct PendingTimeout
+    {
+        Cycles due;
+        uint64_t id;
+        unsigned epoch;
+    };
+    std::deque<PendingTimeout> timeouts;
     auto scheduleTimeout = [&](uint64_t id, Cycles t) {
         if (cfg.timeoutCycles == 0)
             return;
-        unsigned e = ++epoch[id];
-        eq.schedule(
-            t + cfg.timeoutCycles, kLaneTimeout,
-            [&, id, e](Cycles tt) {
-                if (epoch[id] != e)
-                    return; // re-enqueued since — stale
-                RequestRecord &r = res.requests[id];
-                if (!shards[r.shard]->removeQueued(id))
-                    return; // admitted meanwhile — never interrupt
-                now = tt;
-                resetRecord(r);
-                ++r.retries;
-                if (r.retries > cfg.maxRetries) {
-                    r.timedOut = true;
-                    return;
-                }
-                ++limbo;
-                eq.schedule(tt + backoff(r.retries), kLaneRetry,
-                            [&, id](Cycles t3) { retryAt(id, t3); });
-            });
+        Cycles due = t + cfg.timeoutCycles;
+        if (timeouts.empty())
+            eq.schedule(due, kLaneTimeout, timeout_h, 0);
+        timeouts.push_back({due, id, ++epoch[id]});
+    };
+    // A timeout that only fires as a no-op: its request left the
+    // queue of that epoch for good, re-enqueued (new epoch) or
+    // admitted (cores granted).
+    auto stale = [&](const PendingTimeout &p) {
+        return epoch[p.id] != p.epoch || res.requests[p.id].cores > 0;
+    };
+    auto expire = [&](const PendingTimeout &p, Cycles t) {
+        if (epoch[p.id] != p.epoch)
+            return; // re-enqueued since — stale
+        RequestRecord &r = res.requests[p.id];
+        if (!shards[r.shard]->removeQueued(p.id))
+            return; // admitted meanwhile — never interrupt
+        now = t;
+        resetRecord(r);
+        ++r.retries;
+        if (r.retries > cfg.maxRetries) {
+            r.timedOut = true;
+            return;
+        }
+        ++limbo;
+        eq.schedule(t + backoff(r.retries), kLaneRetry, retry_h,
+                    p.id);
+    };
+    auto timeout = [&](Cycles t, uint64_t) {
+        while (!timeouts.empty() && timeouts.front().due <= t) {
+            expire(timeouts.front(), t);
+            timeouts.pop_front();
+        }
+        while (!timeouts.empty() && stale(timeouts.front()))
+            timeouts.pop_front();
+        if (!timeouts.empty())
+            eq.schedule(timeouts.front().due, kLaneTimeout, timeout_h,
+                        0);
     };
 
-    redispatch = [&](uint64_t id, Cycles t) -> bool {
+    auto redispatch = [&](uint64_t id, Cycles t) -> bool {
         size_t model = res.requests[id].model;
         int target = pick_shard(model);
         if (target < 0)
@@ -209,11 +244,11 @@ runRecoveryLoop(const ServingConfig &cfg,
         maicc_assert(ok);
         scheduleTimeout(id, t);
         shards[target]->tryAdmit(t);
-        arm(unsigned(target), t);
+        arm(unsigned(target));
         return true;
     };
 
-    retryAt = [&](uint64_t id, Cycles t) {
+    auto retry = [&](Cycles t, uint64_t id) {
         --limbo;
         now = t;
         if (redispatch(id, t))
@@ -228,8 +263,7 @@ runRecoveryLoop(const ServingConfig &cfg,
             return;
         }
         ++limbo;
-        eq.schedule(t + backoff(r.retries), kLaneRetry,
-                    [&, id](Cycles t3) { retryAt(id, t3); });
+        eq.schedule(t + backoff(r.retries), kLaneRetry, retry_h, id);
     };
 
     // Displaced requests (failover off a faulted shard) do not
@@ -251,7 +285,8 @@ runRecoveryLoop(const ServingConfig &cfg,
         }
     };
 
-    auto applyFault = [&](const FaultEvent &e, Cycles t) {
+    auto applyFault = [&](Cycles t, uint64_t index) {
+        const FaultEvent &e = injector->schedule()[index];
         ShardEngine &sh = *shards[e.chip];
         if (sh.dead())
             return; // nothing left to break — not counted
@@ -280,12 +315,12 @@ runRecoveryLoop(const ServingConfig &cfg,
         }
     };
 
-    std::function<void(Cycles)> arrive = [&](Cycles t) {
+    auto arrive = [&](Cycles t, uint64_t) {
         uint64_t id = next_arrival++;
         now = t;
         if (next_arrival < arrivals.size()) {
             eq.schedule(arrivals[next_arrival].cycle, kLaneArrive,
-                        arrive);
+                        arrive_h, 0);
         }
         RequestRecord &r = res.requests[id];
         // Overload shedding gates *fresh* arrivals only: work the
@@ -306,14 +341,19 @@ runRecoveryLoop(const ServingConfig &cfg,
         }
     };
 
+    wake_h = eq.addHandler(wake);
+    timeout_h = eq.addHandler(timeout);
+    retry_h = eq.addHandler(retry);
+    arrive_h = eq.addHandler(arrive);
+    fault_h = eq.addHandler(applyFault);
+
     if (injector) {
-        for (const FaultEvent &e : injector->schedule()) {
-            eq.schedule(e.cycle, kLaneFault,
-                        [&, e](Cycles t) { applyFault(e, t); });
-        }
+        const std::vector<FaultEvent> &faults = injector->schedule();
+        for (size_t i = 0; i < faults.size(); ++i)
+            eq.schedule(faults[i].cycle, kLaneFault, fault_h, i);
     }
     if (!arrivals.empty())
-        eq.schedule(arrivals[0].cycle, kLaneArrive, arrive);
+        eq.schedule(arrivals[0].cycle, kLaneArrive, arrive_h, 0);
 
     while (!eq.empty()) {
         if (cfg.cutoff && eq.nextAt() > cfg.cutoff)

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <functional>
 #include <limits>
+#include <numeric>
 #include <sstream>
 
 #include "check/invariants.hh"
@@ -53,18 +53,27 @@ ServingResult::dumpStats(StatGroup &stats) const
         stats.counter("faults.dramOutage").inc(faultDramOutage);
         stats.counter("faults.nocDegrade").inc(faultNocDegrade);
     }
+    // Handles are resolved once, at the first sample, so a stat
+    // appears in the dump exactly when it has samples.
+    StatHistogram *latency = nullptr;
+    StatHistogram *queueing = nullptr;
+    std::map<unsigned, StatHistogram *> class_latency;
     for (const auto &r : requests) {
         if (!r.completed)
             continue;
-        stats.histogram("latencyCycles")
-            .sample(double(r.latency()));
-        stats.histogram("queueingCycles")
-            .sample(double(r.queueing()));
-        stats
-            .histogram("class"
-                       + std::to_string(r.priorityClass)
-                       + ".latencyCycles")
-            .sample(double(r.latency()));
+        if (!latency) {
+            latency = &stats.histogram("latencyCycles");
+            queueing = &stats.histogram("queueingCycles");
+        }
+        StatHistogram *&cls = class_latency[r.priorityClass];
+        if (!cls) {
+            cls = &stats.histogram("class"
+                                   + std::to_string(r.priorityClass)
+                                   + ".latencyCycles");
+        }
+        latency->sample(double(r.latency()));
+        queueing->sample(double(r.queueing()));
+        cls->sample(double(r.latency()));
     }
     for (const auto &c : classes) {
         std::string p = "class" + std::to_string(c.priorityClass);
@@ -73,8 +82,11 @@ ServingResult::dumpStats(StatGroup &stats) const
         stats.counter(p + ".sloMet").inc(c.sloMet);
         stats.counter(p + ".sloMissed").inc(c.sloMissed);
     }
-    for (const auto &u : coreTimeline)
-        stats.summary("usedCores").sample(double(u.usedCores));
+    if (!coreTimeline.empty()) {
+        StatSummary &used = stats.summary("usedCores");
+        for (const auto &u : coreTimeline)
+            used.sample(double(u.usedCores));
+    }
     stats.summary("utilization").sample(utilization);
 }
 
@@ -318,12 +330,22 @@ finalizeServingResult(ServingResult &res, Cycles slo_cycles,
     // admitted and finished inside the simulated window; admitted
     // but unfinished (cutoff) and never-admitted requests are
     // pending.
-    StatHistogram latencies;
-    std::map<unsigned, StatHistogram> class_latencies;
-    std::map<unsigned, ClassResult> class_results;
+    //
+    // Latencies are kept in request order, so each mean sums them
+    // in the order a StatHistogram would; selection then reorders
+    // them for the nearest-rank percentiles.
+    struct ClassAcc
+    {
+        ClassResult cr;
+        std::vector<double> latencies;
+    };
+    std::map<unsigned, ClassAcc> classes;
+    std::vector<double> latencies;
+    latencies.reserve(res.requests.size());
     double queue_sum = 0.0;
     for (auto &r : res.requests) {
-        ClassResult &cr = class_results[r.priorityClass];
+        ClassAcc &acc = classes[r.priorityClass];
+        ClassResult &cr = acc.cr;
         cr.priorityClass = r.priorityClass;
         ++cr.offered;
         res.retries += r.retries;
@@ -336,9 +358,8 @@ finalizeServingResult(ServingResult &res, Cycles slo_cycles,
             if (r.completed) {
                 ++res.completed;
                 ++cr.completed;
-                latencies.sample(double(r.latency()));
-                class_latencies[r.priorityClass].sample(
-                    double(r.latency()));
+                latencies.push_back(double(r.latency()));
+                acc.latencies.push_back(double(r.latency()));
                 queue_sum += double(r.queueing());
             } else {
                 ++res.pending;
@@ -365,18 +386,23 @@ finalizeServingResult(ServingResult &res, Cycles slo_cycles,
                                      res.timedOut, res.pending});
     if (!conservation.ok())
         maicc_panic("%s", conservation.summary().c_str());
-    res.p50 = latencies.percentile(50);
-    res.p95 = latencies.percentile(95);
-    res.p99 = latencies.percentile(99);
-    res.meanLatency = latencies.mean();
+    auto summarize = [](std::vector<double> &v, double &mean,
+                        double &p50, double &p95, double &p99) {
+        mean = v.empty() ? 0.0
+                         : std::accumulate(v.begin(), v.end(), 0.0)
+                / double(v.size());
+        std::vector<double> p = selectPercentiles(v, {50, 95, 99});
+        p50 = p[0];
+        p95 = p[1];
+        p99 = p[2];
+    };
+    summarize(latencies, res.meanLatency, res.p50, res.p95, res.p99);
     res.meanQueueing =
         res.completed ? queue_sum / double(res.completed) : 0.0;
-    for (auto &[cls, cr] : class_results) {
-        const StatHistogram &h = class_latencies[cls];
-        cr.p50 = h.percentile(50);
-        cr.p95 = h.percentile(95);
-        cr.p99 = h.percentile(99);
-        cr.meanLatency = h.mean();
+    for (auto &[cls, acc] : classes) {
+        ClassResult &cr = acc.cr;
+        summarize(acc.latencies, cr.meanLatency, cr.p50, cr.p95,
+                  cr.p99);
         res.sloMet += cr.sloMet;
         res.sloMissed += cr.sloMissed;
         res.classes.push_back(cr);
@@ -503,32 +529,34 @@ ServingSimulator::run()
         constexpr int kPrioComplete = 0;
         constexpr int kPrioArrive = 1;
         Cycles armed = kNever;
-        std::function<void(Cycles)> arm = [&](Cycles) {
+        EventQueue::HandlerId wake_h = 0, arrive_h = 0;
+        auto arm = [&] {
             Cycles nf = engine.nextFinish();
             if (nf != kNever && nf < armed) {
                 armed = nf;
-                eq.schedule(nf, kPrioComplete, [&](Cycles t) {
-                    if (armed <= t)
-                        armed = kNever;
-                    // Retire every batch finishing at t, admitting
-                    // after each retirement — exactly the sequence
-                    // the ticked loop produces when it re-picks
-                    // this engine while its nextFinish stays at t.
-                    while (engine.nextFinish() == t) {
-                        now = t;
-                        engine.complete(t);
-                        engine.tryAdmit(t);
-                    }
-                    arm(t);
-                });
+                eq.schedule(nf, kPrioComplete, wake_h, 0);
             }
         };
-        std::function<void(Cycles)> arrive = [&](Cycles t) {
+        wake_h = eq.addHandler([&](Cycles t, uint64_t) {
+            if (armed <= t)
+                armed = kNever;
+            // Retire every batch finishing at t, admitting after
+            // each retirement — exactly the sequence the ticked
+            // loop produces when it re-picks this engine while its
+            // nextFinish stays at t.
+            while (engine.nextFinish() == t) {
+                now = t;
+                engine.complete(t);
+                engine.tryAdmit(t);
+            }
+            arm();
+        });
+        arrive_h = eq.addHandler([&](Cycles t, uint64_t) {
             uint64_t id = next_arrival++;
             now = t;
             if (next_arrival < arrivals.size()) {
                 eq.schedule(arrivals[next_arrival].cycle,
-                            kPrioArrive, arrive);
+                            kPrioArrive, arrive_h, 0);
             }
             if (!engine.enqueue(id)) {
                 res.requests[id].rejected = true;
@@ -536,10 +564,10 @@ ServingSimulator::run()
                 return; // rejected arrivals admit nothing
             }
             engine.tryAdmit(t);
-            arm(t);
-        };
+            arm();
+        });
         if (!arrivals.empty())
-            eq.schedule(arrivals[0].cycle, kPrioArrive, arrive);
+            eq.schedule(arrivals[0].cycle, kPrioArrive, arrive_h, 0);
         while (!eq.empty()) {
             if (cfg.cutoff && eq.nextAt() > cfg.cutoff)
                 break;

@@ -16,6 +16,7 @@ ShardEngine::ShardEngine(const ServingConfig &config,
       requests(requests_), profileFn(std::move(profile)),
       shardIndex(shard_index), ledger(cfg.system.coreBudget),
       region(cfg.system.geometry),
+      queuedPerModel(models.size(), 0),
       policy(makePolicy(cfg.policy, cfg.backfill))
 {
     timeline.push_back({0, 0});
@@ -24,7 +25,8 @@ ShardEngine::ShardEngine(const ServingConfig &config,
 // Test/debug invariants, asserted at every event when
 // cfg.selfCheck is set: the core budget holds, and the ledger
 // (budget) and region (physical slots) stay in lock-step with the
-// sum of the running regions.
+// sum of the running regions. The per-model queued counts that
+// gate admission match a recount of the queue.
 void
 ShardEngine::checkInvariants() const
 {
@@ -35,6 +37,27 @@ ShardEngine::checkInvariants() const
     maicc_assert(region.totalNodes() - region.freeNodes()
                      - region.deadNodes()
                  == coresInFlight);
+    std::vector<unsigned> recount(models.size(), 0);
+    for (const QueuedRequest &q : queue)
+        ++recount[q.model];
+    maicc_assert(recount == queuedPerModel);
+}
+
+bool
+ShardEngine::anyQueuedFits() const
+{
+    for (size_t m = 0; m < queuedPerModel.size(); ++m) {
+        if (queuedPerModel[m] && minCores[m] <= ledger.freeCores())
+            return true;
+    }
+    return false;
+}
+
+std::vector<QueuedRequest>::iterator
+ShardEngine::dequeue(std::vector<QueuedRequest>::iterator it)
+{
+    --queuedPerModel[it->model];
+    return queue.erase(it);
 }
 
 bool
@@ -42,8 +65,23 @@ ShardEngine::enqueue(uint64_t id)
 {
     if (queue.size() >= cfg.queueCapacity)
         return false;
-    requests[id].shard = shardIndex;
-    queue.push_back(id);
+    RequestRecord &r = requests[id];
+    r.shard = shardIndex;
+    QueuedRequest q;
+    q.id = id;
+    q.model = r.model;
+    q.arrival = r.arrival;
+    q.priorityClass = r.priorityClass;
+    q.minCores = minCores[r.model];
+    // Cost estimates (SJF) come from the memoized per-(model,
+    // minCores) service profiles; a model's first sight may run a
+    // probe simulation. Every caller admits right after enqueueing,
+    // so the probe runs at the same event as when admission read
+    // it.
+    if (policy->wantsCostEstimates())
+        q.costEstimate = profileFn(r.model, q.minCores).latency;
+    queue.push_back(q);
+    ++queuedPerModel[r.model];
     return true;
 }
 
@@ -57,7 +95,7 @@ ShardEngine::complete(Cycles now)
     Running done = running.top();
     running.pop();
     ledger.release(done.cores);
-    region.release(done.slots);
+    region.release(done.grant);
     maicc_assert(coresInFlight >= done.cores);
     coresInFlight -= done.cores;
     timeline.push_back({now, ledger.used()});
@@ -66,33 +104,20 @@ ShardEngine::complete(Cycles now)
 void
 ShardEngine::tryAdmit(Cycles now)
 {
+    // The queue itself is the policy's snapshot: every field of a
+    // QueuedRequest is fixed once the request is queued.
     while (!queue.empty()) {
-        // Snapshot the queue for the policy, in queue order. Cost
-        // estimates (SJF) reuse the memoized per-(model, minCores)
-        // service profiles, so only the first sight of a model pays
-        // for a probe simulation.
-        std::vector<QueuedRequest> view;
-        view.reserve(queue.size());
-        for (uint64_t qid : queue) {
-            const RequestRecord &q = requests[qid];
-            QueuedRequest v;
-            v.id = qid;
-            v.model = q.model;
-            v.arrival = q.arrival;
-            v.priorityClass = q.priorityClass;
-            v.minCores = minCores[q.model];
-            if (policy->wantsCostEstimates()) {
-                v.costEstimate =
-                    profileFn(q.model, v.minCores).latency;
-            }
-            view.push_back(v);
-        }
-        size_t pos = policy->pick(view, ledger.freeCores());
+        // Every policy picks only a request whose minimum group
+        // fits the free budget, so when none fits the pick is npos
+        // and the policy need not run.
+        if (!anyQueuedFits())
+            break;
+        size_t pos = policy->pick(queue, ledger.freeCores());
         if (pos == AdmissionPolicy::npos)
             break; // nothing admissible at this event
         maicc_assert(pos < queue.size());
 
-        RequestRecord &head = requests[queue[pos]];
+        const RequestRecord &head = requests[queue[pos].id];
         unsigned min_cores = minCores[head.model];
         maicc_assert(min_cores <= ledger.freeCores());
         unsigned want = models[head.model].preferredCores;
@@ -115,12 +140,12 @@ ShardEngine::tryAdmit(Cycles now)
         // region is empty whenever nothing runs, so admission
         // cannot stall forever).
         Running r;
-        r.slots = region.allocateContiguous(grant);
-        if (r.slots.empty() && grant > min_cores) {
+        r.grant = region.allocateContiguous(grant);
+        if (r.grant.empty() && grant > min_cores) {
             grant = min_cores;
-            r.slots = region.allocateContiguous(grant);
+            r.grant = region.allocateContiguous(grant);
         }
-        if (r.slots.empty())
+        if (r.grant.empty())
             break;
 
         bool ok = ledger.tryAllocate(grant);
@@ -133,14 +158,14 @@ ShardEngine::tryAdmit(Cycles now)
         // pulls a request past a different-model one (the
         // no-reordering contract). cfg.batchAcrossQueue restores
         // the whole-queue scan.
-        std::vector<uint64_t> batch;
+        std::vector<uint64_t> &batch = r.members;
         unsigned max_batch = std::max(1u, cfg.maxBatch);
         if (cfg.batchAcrossQueue) {
             for (auto it = queue.begin() + pos;
                  it != queue.end() && batch.size() < max_batch;) {
-                if (requests[*it].model == head.model) {
-                    batch.push_back(*it);
-                    it = queue.erase(it);
+                if (it->model == head.model) {
+                    batch.push_back(it->id);
+                    it = dequeue(it);
                 } else {
                     ++it;
                 }
@@ -148,16 +173,15 @@ ShardEngine::tryAdmit(Cycles now)
         } else {
             auto it = queue.begin() + pos;
             while (it != queue.end() && batch.size() < max_batch
-                   && requests[*it].model == head.model) {
-                batch.push_back(*it);
-                it = queue.erase(it);
+                   && it->model == head.model) {
+                batch.push_back(it->id);
+                it = dequeue(it);
             }
         }
         maicc_assert(!batch.empty());
 
         r.cores = grant;
         r.firstId = batch.front();
-        r.members = batch;
 
         const ServiceProfile &sp = profileFn(head.model, grant);
         Cycles lat = sp.latency;
@@ -201,13 +225,15 @@ ShardEngine::failStop(Cycles now)
         displaced.insert(displaced.end(), r.members.begin(),
                          r.members.end());
         ledger.release(r.cores);
-        region.release(r.slots);
+        region.release(r.grant);
         maicc_assert(coresInFlight >= r.cores);
         coresInFlight -= r.cores;
         running.pop();
     }
-    displaced.insert(displaced.end(), queue.begin(), queue.end());
+    for (const QueuedRequest &q : queue)
+        displaced.push_back(q.id);
     queue.clear();
+    std::fill(queuedPerModel.begin(), queuedPerModel.end(), 0u);
 
     for (unsigned s = 0; s < region.totalNodes(); ++s) {
         if (!region.dead(s))
@@ -237,10 +263,6 @@ ShardEngine::loseCores(unsigned count, Cycles now)
     if (victims.size() == region.totalNodes() - region.deadNodes())
         return failStop(now);
 
-    auto isVictim = [&](unsigned s) {
-        return std::find(victims.begin(), victims.end(), s)
-            != victims.end();
-    };
 
     // Kill every batch occupying a victim slot; survivors keep
     // running untouched.
@@ -248,13 +270,15 @@ ShardEngine::loseCores(unsigned count, Cycles now)
     std::vector<Running> keep;
     while (!running.empty()) {
         const Running &r = running.top();
-        bool hit = std::any_of(r.slots.begin(), r.slots.end(),
-                               isVictim);
+        bool hit = std::any_of(victims.begin(), victims.end(),
+                               [&](unsigned s) {
+                                   return r.grant.contains(s);
+                               });
         if (hit) {
             displaced.insert(displaced.end(), r.members.begin(),
                              r.members.end());
             ledger.release(r.cores);
-            region.release(r.slots);
+            region.release(r.grant);
             maicc_assert(coresInFlight >= r.cores);
             coresInFlight -= r.cores;
         } else {
@@ -274,9 +298,9 @@ ShardEngine::loseCores(unsigned count, Cycles now)
     // possible run on this shard would wait forever — displace
     // them for the dispatcher to fail over.
     for (auto it = queue.begin(); it != queue.end();) {
-        if (!canServe(minCores[requests[*it].model])) {
-            displaced.push_back(*it);
-            it = queue.erase(it);
+        if (!canServe(it->minCores)) {
+            displaced.push_back(it->id);
+            it = dequeue(it);
         } else {
             ++it;
         }
@@ -308,10 +332,13 @@ ShardEngine::slowdownAt(Cycles now) const
 bool
 ShardEngine::removeQueued(uint64_t id)
 {
-    auto it = std::find(queue.begin(), queue.end(), id);
+    auto it = std::find_if(
+        queue.begin(), queue.end(),
+        [id](const QueuedRequest &q) { return q.id == id; });
     if (it == queue.end())
         return false;
-    queue.erase(it);
+    dequeue(it);
+    checkInvariants();
     return true;
 }
 

@@ -26,7 +26,6 @@
 #ifndef MAICC_RUNTIME_SHARD_HH
 #define MAICC_RUNTIME_SHARD_HH
 
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -101,6 +100,7 @@ class ShardEngine
      * Dispatch request @p id to this shard: stamps the record's
      * shard index and queues it. Returns false — rejection — when
      * the waiting room is full (the caller books the rejection).
+     * Callers run tryAdmit() at the same event.
      */
     bool enqueue(uint64_t id);
 
@@ -112,11 +112,13 @@ class ShardEngine
 
     /**
      * Admit from the waiting queue until the policy yields nothing
-     * admissible: snapshot the queue, let the policy pick, carve a
-     * contiguous region (degrading to the minimum region under
-     * fragmentation), collect the same-model batch, and schedule
-     * its completion from the service profile. Asserts the
-     * ledger/region lock-step afterwards when cfg.selfCheck is on.
+     * admissible: skip the policy when no queued request's minimum
+     * group fits the free cores (no policy admits then), else let
+     * it pick from the queue, carve a contiguous region (degrading
+     * to the minimum region under fragmentation), collect the
+     * same-model batch, and schedule its completion from the
+     * service profile. Asserts the ledger/region lock-step
+     * afterwards when cfg.selfCheck is on.
      */
     void tryAdmit(Cycles now);
 
@@ -202,7 +204,7 @@ class ShardEngine
         Cycles finish = 0;    ///< last batch member's finish
         uint64_t firstId = 0; ///< deterministic tie-break
         unsigned cores = 0;
-        std::vector<unsigned> slots;
+        RegionGrant grant;
         std::vector<uint64_t> members; ///< batch request ids
 
         bool
@@ -224,6 +226,14 @@ class ShardEngine
     /** Product of the windows covering @p now (1.0 when none). */
     double slowdownAt(Cycles now) const;
 
+    /** True when some queued request's minimum group fits the free
+     * budget — the only case in which any policy admits. */
+    bool anyQueuedFits() const;
+
+    /** Take the request at @p it off the waiting queue. */
+    std::vector<QueuedRequest>::iterator
+    dequeue(std::vector<QueuedRequest>::iterator it);
+
     void checkInvariants() const;
 
     const ServingConfig &cfg;
@@ -235,7 +245,8 @@ class ShardEngine
 
     CoreLedger ledger;
     RegionAllocator region;
-    std::deque<uint64_t> queue;
+    std::vector<QueuedRequest> queue;     ///< in queue order
+    std::vector<unsigned> queuedPerModel; ///< queue, counted by model
     std::priority_queue<Running, std::vector<Running>,
                         std::greater<Running>>
         running;

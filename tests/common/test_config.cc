@@ -166,6 +166,30 @@ TEST(Config, ZeroChipsIsAnErrorWithPath)
     EXPECT_NE(err.find("chips"), std::string::npos) << err;
 }
 
+TEST(Config, MoreThanSixtyFourChipsIsAnErrorWithTheRange)
+{
+    // Shard masks are 64 bits wide: a 65-chip config must be
+    // refused by the binder, with the same range --chips states,
+    // instead of reaching the cluster's assertion.
+    SimConfig cfg;
+    std::istringstream in("{\"serving\": {\"chips\": 65}}");
+    std::string err;
+    EXPECT_FALSE(loadConfig(in, cfg, &err));
+    EXPECT_NE(err.find("chips"), std::string::npos) << err;
+    EXPECT_NE(err.find("expected an integer in [1, 64]"),
+              std::string::npos)
+        << err;
+}
+
+TEST(Config, SixtyFourChipsIsAccepted)
+{
+    SimConfig cfg;
+    std::istringstream in("{\"serving\": {\"chips\": 64}}");
+    std::string err;
+    ASSERT_TRUE(loadConfig(in, cfg, &err)) << err;
+    EXPECT_EQ(cfg.serving.chips, 64u);
+}
+
 TEST(Config, ShardPolicySpellingsAllParse)
 {
     const std::pair<const char *, ShardPolicy> spellings[] = {

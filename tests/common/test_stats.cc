@@ -1,7 +1,10 @@
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
+#include "common/seeded_test.hh"
 #include "common/stats.hh"
 
 using namespace maicc;
@@ -186,4 +189,38 @@ TEST(Stats, HistogramDumpShowsPercentiles)
     g.dump(os);
     EXPECT_NE(os.str().find("srv.latency"), std::string::npos);
     EXPECT_NE(os.str().find("p99"), std::string::npos);
+}
+
+TEST(Stats, SelectedPercentilesMatchTheHistogram)
+{
+    // The serving summary's selection path must return exactly the
+    // values StatHistogram::percentile does, on tied and on random
+    // samples, at the sizes where the nearest rank changes.
+    const std::vector<double> ps = {0, 1, 50, 94.9, 95, 99, 99.5,
+                                    100};
+    uint64_t seed = testseed::seedOrDefault(20);
+    MAICC_SEED_TRACE(seed);
+    Rng rng(seed);
+    for (size_t n : {0u, 1u, 2u, 19u, 20u, 21u, 1000u}) {
+        for (bool tied : {true, false}) {
+            SCOPED_TRACE(::testing::Message()
+                         << n << " samples, tied " << tied);
+            StatHistogram h;
+            std::vector<double> v;
+            for (size_t i = 0; i < n; ++i) {
+                double x = tied ? double(rng.below(3))
+                                : double(rng.below(1u << 20));
+                h.sample(x);
+                v.push_back(x);
+            }
+            std::vector<double> got = selectPercentiles(v, ps);
+            ASSERT_EQ(got.size(), ps.size());
+            for (size_t k = 0; k < ps.size(); ++k)
+                EXPECT_EQ(got[k], h.percentile(ps[k])) << ps[k];
+            // A single selection agrees as well.
+            std::vector<double> w = h.samples();
+            EXPECT_EQ(selectPercentiles(w, {99})[0],
+                      h.percentile(99));
+        }
+    }
 }

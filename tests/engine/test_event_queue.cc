@@ -4,15 +4,22 @@
  * (src/engine/event_queue.hh, DESIGN.md §15): the deterministic
  * (cycle, priority, sequence) ordering key, clock/pump semantics
  * (step/runUntil/drain/nextAt/now), self-scheduling handler
- * chains, and the `--engine` selector parsing shared by the CLI
- * and the MAICC_ENGINE environment default.
+ * chains, the handler slab and registered payload handlers, and
+ * the `--engine` selector parsing shared by the CLI and the
+ * MAICC_ENGINE environment default.
  */
 
+#include <functional>
+#include <map>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
+#include "common/seeded_test.hh"
 #include "engine/engine_kind.hh"
 #include "engine/event_queue.hh"
 
@@ -135,6 +142,177 @@ TEST(EventQueue, ClearDropsPendingButKeepsCounters)
     EXPECT_EQ(ran, 1);
     EXPECT_EQ(eq.eventsRun(), 1u);
     EXPECT_EQ(eq.now(), Cycles(1));
+}
+
+TEST(EventQueue, HandlersScheduleAtTheirOwnCycle)
+{
+    // From inside a handler at (4, 0): an equal key queues behind
+    // the cycle's already-queued (4, 0) event, a lower priority
+    // (larger lane) runs after every (4, 0) event, and a higher one
+    // runs next — both for one-shot and for payload events.
+    EventQueue eq;
+    std::vector<std::string> order;
+    EventQueue::HandlerId tag_h =
+        eq.addHandler([&](Cycles, uint64_t p) {
+            order.push_back("payload" + std::to_string(p));
+        });
+    eq.schedule(4, 0, [&](Cycles t) {
+        order.push_back("first");
+        eq.schedule(t, 1, [&](Cycles) { order.push_back("lower"); });
+        eq.schedule(t, 0, tag_h, 1); // equal key
+        eq.schedule(t, 0, [&](Cycles) { order.push_back("equal"); });
+        eq.schedule(t, -1, tag_h, 2); // higher priority
+    });
+    eq.schedule(4, 0, [&](Cycles) { order.push_back("second"); });
+    eq.schedule(5, -9, [&](Cycles) { order.push_back("later"); });
+    eq.drain();
+    EXPECT_EQ(order, (std::vector<std::string>{
+                         "first", "payload2", "second", "payload1",
+                         "equal", "lower", "later"}));
+}
+
+TEST(EventQueue, ClearMidRunThenReuse)
+{
+    // clear() from inside a handler drops the rest of the run and
+    // every pending one-shot handler; registered handlers stay, and
+    // the queue keeps working afterwards.
+    EventQueue eq;
+    std::vector<std::string> order;
+    EventQueue::HandlerId tag_h =
+        eq.addHandler([&](Cycles, uint64_t p) {
+            order.push_back("payload" + std::to_string(p));
+        });
+    eq.schedule(1, 0, [&](Cycles) {
+        order.push_back("clearer");
+        eq.clear();
+    });
+    eq.schedule(2, 0, [&](Cycles) { order.push_back("dropped"); });
+    eq.schedule(3, 0, tag_h, 7);
+    EXPECT_EQ(eq.drain(), 1u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.now(), Cycles(1));
+
+    eq.schedule(9, 0, tag_h, 8);
+    eq.schedule(8, 0, [&](Cycles t) {
+        order.push_back("reused");
+        eq.schedule(t, 0, [&](Cycles) { order.push_back("chained"); });
+    });
+    EXPECT_EQ(eq.drain(), 3u);
+    EXPECT_EQ(order, (std::vector<std::string>{
+                         "clearer", "reused", "chained", "payload8"}));
+    EXPECT_EQ(eq.eventsRun(), 4u);
+}
+
+TEST(EventQueue, SlabReleasesCapturesOnceRunOrCleared)
+{
+    EventQueue eq;
+    auto ran = std::make_shared<int>(0);
+    std::weak_ptr<int> watch = ran;
+    for (int round = 0; round < 3; ++round) {
+        // A recycled slot must not keep the previous capture.
+        eq.schedule(Cycles(round), 0, [ran](Cycles) { ++*ran; });
+        EXPECT_EQ(ran.use_count(), 2);
+        EXPECT_TRUE(eq.step());
+        EXPECT_EQ(ran.use_count(), 1);
+    }
+    EXPECT_EQ(*ran, 3);
+
+    eq.schedule(10, 0, [ran](Cycles) { ++*ran; });
+    eq.schedule(11, 0, [ran](Cycles) { ++*ran; });
+    EXPECT_EQ(ran.use_count(), 3);
+    eq.clear();
+    EXPECT_EQ(ran.use_count(), 1);
+    ran.reset();
+    EXPECT_TRUE(watch.expired());
+}
+
+namespace
+{
+
+/**
+ * The handler logic of SeededRunMatchesAMultimapReference, shared
+ * by both pumps: react() logs the event, then draws up to three
+ * follow-ups and hands each to @p post.
+ */
+struct SeededRun
+{
+    using Post = std::function<void(Cycles, int, uint64_t)>;
+
+    SeededRun(uint64_t seed, uint64_t events)
+        : rng(seed), limit(events)
+    {}
+
+    Rng rng;
+    uint64_t limit = 0;
+    uint64_t scheduled = 0;
+    std::vector<uint64_t> log;
+
+    void
+    react(Cycles t, uint64_t id, const Post &post)
+    {
+        log.push_back(id);
+        for (uint64_t k = rng.below(4); k-- > 0 && scheduled < limit;) {
+            Cycles when = t + rng.below(40);
+            int prio = int(rng.below(5)) - 2;
+            post(when, prio, scheduled++);
+        }
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, SeededRunMatchesAMultimapReference)
+{
+    // 100k events, half one-shot and half payload events, each
+    // handler scheduling up to three follow-ups (some at its own
+    // cycle, some at a smaller priority). The reference pumps a
+    // std::multimap keyed on (when, priority, seq) through the same
+    // handler logic; the execution orders must match exactly.
+    constexpr uint64_t kEvents = 100000;
+    using Key = std::tuple<Cycles, int, uint64_t>;
+    for (uint64_t seed : testseed::seeds({3, 4})) {
+        MAICC_SEED_TRACE(seed);
+        SeededRun ref(seed, kEvents);
+        std::multimap<Key, uint64_t> pending;
+        uint64_t ref_seq = 0;
+        SeededRun::Post ref_post = [&](Cycles when, int prio,
+                                       uint64_t id) {
+            pending.emplace(Key{when, prio, ref_seq++}, id);
+        };
+        for (int i = 0; i < 64; ++i)
+            ref_post(Cycles(i % 7), i % 3, ref.scheduled++);
+        while (!pending.empty()) {
+            auto it = pending.begin();
+            Cycles t = std::get<0>(it->first);
+            uint64_t id = it->second;
+            pending.erase(it);
+            ref.react(t, id, ref_post);
+        }
+
+        SeededRun got(seed, kEvents);
+        EventQueue eq;
+        SeededRun::Post post;
+        EventQueue::HandlerId payload_h =
+            eq.addHandler([&](Cycles t, uint64_t id) {
+                got.react(t, id, post);
+            });
+        post = [&](Cycles when, int prio, uint64_t id) {
+            if (id % 2) {
+                eq.schedule(when, prio, payload_h, id);
+            } else {
+                eq.schedule(when, prio, [&, id](Cycles t) {
+                    got.react(t, id, post);
+                });
+            }
+        };
+        for (int i = 0; i < 64; ++i)
+            post(Cycles(i % 7), i % 3, got.scheduled++);
+        eq.drain();
+
+        EXPECT_EQ(ref.log.size(), kEvents);
+        EXPECT_EQ(got.log, ref.log);
+        EXPECT_EQ(eq.eventsRun(), kEvents);
+    }
 }
 
 TEST(EngineKind, ParseAndName)

@@ -167,7 +167,7 @@ TEST(MappingProperties, AllocFreeRoundTripsLeakNoCores)
         struct Grant
         {
             unsigned cores;
-            std::vector<unsigned> slots;
+            RegionGrant slots;
         };
         std::vector<Grant> live;
         uint64_t peak = 0;
@@ -182,19 +182,27 @@ TEST(MappingProperties, AllocFreeRoundTripsLeakNoCores)
                     continue;
                 Grant g;
                 g.cores = want;
-                g.slots = region.allocate(want);
-                ASSERT_EQ(g.slots.size(), want);
-                // Slots are distinct and freshly allocated.
-                std::set<unsigned> fresh(g.slots.begin(),
-                                         g.slots.end());
-                EXPECT_EQ(fresh.size(), want);
+                unsigned longest = region.longestFreeRun();
+                g.slots = region.allocateContiguous(want);
+                if (g.slots.empty()) {
+                    // Refused only when fragmentation leaves no
+                    // run that long; the budget is handed back.
+                    EXPECT_LT(longest, want);
+                    ledger.release(want);
+                    continue;
+                }
+                ASSERT_EQ(g.slots.count, want);
+                ASSERT_LE(g.slots.first + want, region.totalNodes());
+                // Slots are freshly allocated: no live grant
+                // overlaps them.
                 for (const Grant &other : live) {
-                    for (unsigned s : other.slots)
-                        EXPECT_FALSE(fresh.count(s))
+                    for (unsigned s = g.slots.first;
+                         s < g.slots.first + want; ++s)
+                        EXPECT_FALSE(other.slots.contains(s))
                             << "slot " << s
                             << " double-allocated";
                 }
-                live.push_back(std::move(g));
+                live.push_back(g);
             } else {
                 size_t victim = rng.below(live.size());
                 ledger.release(live[victim].cores);
@@ -220,28 +228,39 @@ TEST(MappingProperties, AllocFreeRoundTripsLeakNoCores)
 
 TEST(MappingProperties, RegionAllocatorPrefersContiguousRuns)
 {
-    // On an empty region an allocation is one contiguous
-    // serpentine run; after fragmentation it still returns exactly
-    // the requested count.
+    // On an empty region an allocation is the lowest contiguous
+    // serpentine run; after fragmentation the lowest hole that
+    // fits is reused first.
     RegionAllocator region;
-    auto a = region.allocate(10);
-    ASSERT_EQ(a.size(), 10u);
-    for (size_t i = 1; i < a.size(); ++i)
-        EXPECT_EQ(a[i], a[i - 1] + 1);
+    RegionGrant a = region.allocateContiguous(10);
+    EXPECT_EQ(a.first, 0u);
+    EXPECT_EQ(a.count, 10u);
 
-    auto b = region.allocate(10);
+    RegionGrant b = region.allocateContiguous(10);
+    EXPECT_EQ(b.first, 10u);
     region.release(a); // hole of 10 before b
-    auto c = region.allocate(6); // fits in the hole, contiguously
-    ASSERT_EQ(c.size(), 6u);
-    EXPECT_EQ(c.front(), 0u);
-    for (size_t i = 1; i < c.size(); ++i)
-        EXPECT_EQ(c[i], c[i - 1] + 1);
+    RegionGrant c = region.allocateContiguous(6); // fits the hole
+    EXPECT_EQ(c.first, 0u);
+    EXPECT_EQ(c.count, 6u);
 
-    // Larger than any hole-free prefix run: falls back to the
-    // lowest free slots across the seam.
-    auto d = region.allocate(region.freeNodes());
-    EXPECT_EQ(d.size() + b.size() + c.size(),
+    // Every free slot in one grant would have to cross the seam
+    // left by b: refused, nothing consumed. The longest run is the
+    // tail after b.
+    unsigned free_before = region.freeNodes();
+    EXPECT_TRUE(region.allocateContiguous(free_before).empty());
+    EXPECT_EQ(region.freeNodes(), free_before);
+    EXPECT_EQ(region.longestFreeRun(), region.totalNodes() - 20);
+    RegionGrant d =
+        region.allocateContiguous(region.longestFreeRun());
+    EXPECT_EQ(d.first, 20u);
+    EXPECT_EQ(d.count + b.count + c.count + 4,
               region.totalNodes());
+    EXPECT_EQ(region.freeNodes(), 4u); // the rest of a's hole
+
+    // Releasing the separator coalesces the hole with b's slots.
+    region.release(b);
+    EXPECT_EQ(region.longestFreeRun(), 14u);
+    EXPECT_EQ(region.allocateContiguous(14).first, 6u);
     EXPECT_EQ(region.freeNodes(), 0u);
 }
 
@@ -253,10 +272,10 @@ TEST(MappingProperties, AllocateContiguousRefusesFragmentedFits)
     // case where scattering a node-group chain across seams would
     // invalidate its contiguously-profiled service time.
     RegionAllocator region;
-    auto a = region.allocate(4);                 // [0..3]
-    auto b = region.allocate(4);                 // [4..7]
-    auto c = region.allocate(4);                 // [8..11]
-    region.allocate(region.freeNodes());
+    RegionGrant a = region.allocateContiguous(4); // [0..3]
+    RegionGrant b = region.allocateContiguous(4); // [4..7]
+    RegionGrant c = region.allocateContiguous(4); // [8..11]
+    region.allocateContiguous(region.freeNodes());
     ASSERT_EQ(region.freeNodes(), 0u);
     region.release(a);
     region.release(c); // two free runs of 4, 8 free in total
@@ -268,26 +287,16 @@ TEST(MappingProperties, AllocateContiguousRefusesFragmentedFits)
     EXPECT_EQ(region.freeNodes(), 8u);
     EXPECT_EQ(region.longestFreeRun(), 4u);
 
-    // The scatter-tolerant allocate() still succeeds on the same
-    // region (occupancy-only callers keep the old behavior).
-    auto scattered = region.allocate(6);
-    EXPECT_EQ(scattered.size(), 6u);
-    region.release(scattered);
-
     // A fitting run is carved at the lowest position...
-    auto low = region.allocateContiguous(4);
-    ASSERT_EQ(low.size(), 4u);
-    EXPECT_EQ(low.front(), 0u);
-    for (size_t i = 1; i < low.size(); ++i)
-        EXPECT_EQ(low[i], low[i - 1] + 1);
+    RegionGrant low = region.allocateContiguous(4);
+    EXPECT_EQ(low.first, 0u);
+    EXPECT_EQ(low.count, 4u);
     region.release(low);
 
     // ...and releasing the separator coalesces the runs.
     region.release(b);
     EXPECT_EQ(region.longestFreeRun(), 12u);
-    auto wide = region.allocateContiguous(10);
-    ASSERT_EQ(wide.size(), 10u);
-    EXPECT_EQ(wide.front(), 0u);
-    for (size_t i = 1; i < wide.size(); ++i)
-        EXPECT_EQ(wide[i], wide[i - 1] + 1);
+    RegionGrant wide = region.allocateContiguous(10);
+    EXPECT_EQ(wide.first, 0u);
+    EXPECT_EQ(wide.count, 10u);
 }

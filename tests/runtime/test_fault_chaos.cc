@@ -14,7 +14,10 @@
  *    arrival <= start <= finish);
  *  - a fixed (serving seed, fault seed) pair is bitwise identical
  *    across host thread counts — the fault schedule is a pure
- *    function of the config, never of execution timing.
+ *    function of the config, never of execution timing;
+ *  - the per-model queued counts that gate admission stay exact
+ *    (recounted under selfCheck at every event) while timeouts,
+ *    core loss and fail-stop pull requests out of the queue.
  *
  * Seeds are overridable via MAICC_TEST_SEED (common/seeded_test.hh)
  * so a failing draw replays exactly.
@@ -169,5 +172,59 @@ TEST(FaultChaos, FixedSeedsBitwiseIdenticalAcrossThreadCounts)
         for (size_t i = 0; i < a.shards.size(); ++i)
             expectIdenticalResults(a.shards[i], b.shards[i],
                                    "shard");
+    }
+}
+
+TEST(FaultChaos, QueuedCountsSurviveTimeoutsCoreLossAndFailStop)
+{
+    // Three overloaded 40-core chips with short timeouts; chip 0
+    // loses 200 slots (too few left for the camera) and chip 1
+    // fail-stops, so requests leave the queue through removeQueued,
+    // loseCores and failStop. selfCheck recounts the
+    // per-model queued counts against the queue at every event and
+    // panics on any drift.
+    Workload w;
+    struct Policy
+    {
+        SchedPolicy kind;
+        bool backfill;
+    };
+    for (Policy p : {Policy{SchedPolicy::Fifo, false},
+                     Policy{SchedPolicy::Sjf, false},
+                     Policy{SchedPolicy::Priority, true}}) {
+        SCOPED_TRACE(policyName(p.kind));
+        ServingConfig cfg;
+        cfg.seed = 5;
+        cfg.chips = 3;
+        cfg.offeredRequests = 60;
+        cfg.meanInterarrival = 10'000;
+        cfg.system.coreBudget = 40;
+        cfg.policy = p.kind;
+        cfg.backfill = p.backfill;
+        cfg.selfCheck = true;
+        cfg.timeoutCycles = 400'000;
+        cfg.maxRetries = 1;
+        cfg.backoffCycles = 50'000;
+        FaultEvent loss;
+        loss.kind = FaultKind::CoreLoss;
+        loss.cycle = 300'000;
+        loss.chip = 0;
+        loss.count = 200;
+        FaultEvent stop;
+        stop.kind = FaultKind::ChipFailStop;
+        stop.cycle = 500'000;
+        stop.chip = 1;
+        cfg.faults.events = {loss, stop};
+
+        ClusterResult r = runOnce(w, cfg);
+        const ServingResult &agg = r.aggregate;
+        EXPECT_GT(agg.retries, 0u);
+        EXPECT_GT(agg.failovers, 0u);
+        EXPECT_EQ(agg.faultCoreLoss, 1u);
+        EXPECT_EQ(agg.faultChipFailStop, 1u);
+        check::CheckResult counters = check::checkServingCounters(
+            {agg.offered, agg.completed, agg.rejected, agg.shed,
+             agg.timedOut, agg.pending});
+        EXPECT_TRUE(counters.ok()) << counters.summary();
     }
 }

@@ -337,6 +337,26 @@ TEST(ServingPolicies, SjfServesShorterJobFirst)
     EXPECT_LE(sjf.meanLatency, fifo.meanLatency);
 }
 
+TEST(ServingPolicies, SjfCostsHoldForRequestsQueuedAfterTheProbe)
+{
+    // Both models are probed by t=1; the camera and radar queued
+    // after that must still carry their own cost estimates, so
+    // when the first camera completes both radars (≈216k cycles)
+    // run before the waiting camera (≈715k).
+    Workload w;
+    const std::string trace = "0 camera\n"
+                              "1 radar\n"
+                              "2 camera\n"
+                              "3 radar\n";
+    ServingConfig cfg = traceConfig();
+    cfg.system.coreBudget = 14;
+    cfg.policy = SchedPolicy::Sjf;
+    ServingResult res = simWithTrace(w, cfg, trace)->run();
+    ASSERT_EQ(res.completed, 4u);
+    EXPECT_LT(res.requests[1].start, res.requests[3].start);
+    EXPECT_LT(res.requests[3].start, res.requests[2].start);
+}
+
 TEST(ServingPolicies, PriorityClassJumpsTheQueue)
 {
     // Same stream, but the radar is class 0 (urgent) and the camera
