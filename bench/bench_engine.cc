@@ -16,11 +16,11 @@
  *    every channel every cycle) vs the event-kernel wake-up chain
  *    `ManyCoreDram::drainVia()`, completion for completion;
  *  - **serving run**: the two-model Poisson mix end to end on
- *    both engines. The serving loop was event-shaped before the
- *    kernel existed (it advanced straight to the next arrival or
- *    completion), so parity — not a big win — is the expected
- *    and reported outcome here; the speedup claim lives in the
- *    sparse NoC and DRAM rows.
+ *    both engines. The serving loop itself is one event loop
+ *    whatever the engine; only the MaiccSystem runs behind its
+ *    service profiles change, so parity — not a big win — is the
+ *    expected and reported outcome here; the speedup claim lives
+ *    in the sparse NoC and DRAM rows.
  *
  * Any result divergence between the engines fails the run with a
  * nonzero exit (it would be a DESIGN.md §15 contract violation).
@@ -284,8 +284,8 @@ main(int argc, char **argv)
     std::cout << '\n';
     doc.set("dram", std::move(dram_rows));
 
-    // Serving: end-to-end on both engines. Parity expected (the
-    // legacy loop already jumped between arrivals/completions);
+    // Serving: end-to-end on both engines. Parity expected (one
+    // serving loop; only the profiles' system runs differ);
     // reported so a regression in either direction is visible.
     std::cout << "Serving run (two-model Poisson mix)\n";
     ServingConfig scfg = opt.config.serving;

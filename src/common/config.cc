@@ -316,7 +316,8 @@ fromJson(const Json &j, SystemConfig &out, std::string *err,
          const std::string &path)
 {
     ObjectReader r(j, path, err);
-    r.integer("coreBudget", out.coreBudget);
+    int64_t budget = out.coreBudget; // range-checked below
+    r.integer("coreBudget", budget);
     r.integer("dramChannels", out.dramChannels);
     r.number("clockHz", out.clockHz);
     r.integer("numThreads", out.numThreads);
@@ -329,6 +330,16 @@ fromJson(const Json &j, SystemConfig &out, std::string *err,
     r.nested("noc", out.noc);
     r.nested("dram", out.dram);
     r.nested("llc", out.llc);
+    // Checked after the geometry is read: the budget is carved
+    // from its compute nodes.
+    unsigned nodes = out.geometry.computeNodes();
+    if (budget < 1 || budget > int64_t(nodes)) {
+        std::string what = "expected an integer in [1, "
+            + std::to_string(nodes) + "]";
+        r.fail("coreBudget", what.c_str());
+    } else {
+        out.coreBudget = unsigned(budget);
+    }
     // One engine knob: the NoC/DRAM subtrees carry working copies
     // (their toJson deliberately omits them), always slaved to
     // system.engine.
@@ -434,7 +445,6 @@ servingToJson(const ServingConfig &c)
     j.set("horizon", c.horizon);
     j.set("queueCapacity", c.queueCapacity);
     j.set("maxBatch", c.maxBatch);
-    j.set("batchAcrossQueue", c.batchAcrossQueue);
     j.set("policy", policyName(c.policy));
     j.set("backfill", c.backfill);
     j.set("sloCycles", c.sloCycles);
@@ -470,7 +480,6 @@ servingFromJson(const Json &j, ServingConfig &out,
     r.integer("horizon", out.horizon);
     r.integer("queueCapacity", out.queueCapacity);
     r.integer("maxBatch", out.maxBatch);
-    r.boolean("batchAcrossQueue", out.batchAcrossQueue);
     std::string policy = policyName(out.policy);
     r.string("policy", policy);
     if (!parsePolicy(policy, out.policy))

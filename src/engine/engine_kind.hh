@@ -1,8 +1,8 @@
 /**
  * @file
  * The simulation-engine selector shared by every time-stepped
- * model (NoC, DRAM, core timing, system streaming loop, serving /
- * cluster event loops): `Event` (the default) drives each model
+ * model (NoC, DRAM, core timing, system streaming loop): `Event`
+ * (the default) drives each model
  * through skip-ahead wake-up scheduling on the shared event kernel
  * (engine/event_queue.hh), `Ticked` keeps the legacy
  * advance-everything-every-cycle loops compilable for differential

@@ -6,8 +6,8 @@
  * SRAM-based CiM arrays drift and mis-compute, and Neural Cache's
  * bit-serial arrays share the exposure. The serving simulator
  * therefore injects *seeded, reproducible* hardware faults and lets
- * the serving/cluster recovery machinery (runtime/recovery.hh) ride
- * through them. Four fault classes cover the blast radii that
+ * the serving loop's recovery machinery (runtime/serving_loop.hh)
+ * ride through them. Four fault classes cover the blast radii that
  * matter at serving granularity:
  *
  *  - **chip-fail-stop**: a whole chip shard dies permanently at a

@@ -9,10 +9,10 @@
  * host state, no clocks — which is what makes a fixed-fault-seed
  * serving run bitwise reproducible at any thread count.
  *
- * The injector does not mutate anything itself: the recovery loop
- * (runtime/recovery.cc) walks schedule() and applies each event to
- * the victim ShardEngine at its cycle, in the dedicated fault
- * priority lane (DESIGN.md §16). As a SimComponent it publishes
+ * The injector does not mutate anything itself: the serving loop
+ * (runtime/serving_loop.cc) walks schedule() and applies each
+ * event to the victim ShardEngine at its cycle, in the dedicated
+ * fault priority lane (DESIGN.md §16). As a SimComponent it publishes
  * the per-kind scheduled counts so a stats dump records what a run
  * was configured to endure alongside what it survived.
  */

@@ -7,13 +7,15 @@
  * A ClusterSimulator owns `ServingConfig::chips` shards. Each shard
  * is a full, independent chip: its own CoreLedger budget,
  * RegionAllocator serpentine, waiting queue, and admission policy —
- * exactly the single-chip serving path, reused via the extracted
- * ShardEngine (shard.hh). Above the shards sits the dispatcher: at
- * every arrival it picks one shard (ShardPolicy, admission.hh) from
- * those that have the model registered (addModel's shard mask) and
- * waiting-room space, and the request lives there until it
- * completes. If no shard is eligible the arrival is rejected — the
- * cluster-level analogue of single-chip admission control.
+ * a ShardEngine (shard.hh), driven by the one serving loop
+ * (serving_loop.hh) a single chip runs too. Above the shards sits
+ * the loop's dispatcher: at every arrival it picks one shard
+ * (ShardPolicy, admission.hh) from those that have the model
+ * registered (addModel's shard mask), could ever hold its minimum
+ * group, and have waiting-room space, and the request lives there
+ * until it completes. If no shard is eligible the arrival is
+ * rejected — the cluster-level analogue of single-chip admission
+ * control.
  *
  * Service profiles come from one shared profiler (an inner
  * ServingSimulator): the shards are identical hardware, so a

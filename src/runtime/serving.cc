@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <limits>
 #include <numeric>
 #include <sstream>
 
 #include "check/invariants.hh"
 #include "common/logging.hh"
-#include "engine/event_queue.hh"
 #include "fault/injector.hh"
 #include "runtime/host.hh"
-#include "runtime/recovery.hh"
-#include "runtime/shard.hh"
+#include "runtime/serving_loop.hh"
 #include "runtime/sim_cache.hh"
 
 namespace maicc
@@ -459,161 +456,14 @@ appendServingTrace(const ServingResult &res,
 ServingResult
 ServingSimulator::run()
 {
-    constexpr Cycles kNever = ShardEngine::kNever;
-
     ScopedHostTimer host_timer(*this);
-    ServingResult res;
-    std::vector<ServingArrival> arrivals = generateArrivals();
-    res.offered = arrivals.size();
-    res.sloCycles = cfg.sloCycles;
-    res.requests.resize(arrivals.size());
-    for (size_t i = 0; i < arrivals.size(); ++i) {
-        res.requests[i].id = i;
-        res.requests[i].model = arrivals[i].model;
-        res.requests[i].priorityClass =
-            models[arrivals[i].model].priorityClass;
-        res.requests[i].arrival = arrivals[i].cycle;
-    }
-
-    if (recoveryActive(cfg)) {
-        // Recovery semantics requested (faults, timeouts, or
-        // shedding): the unified recovery loop (recovery.cc)
-        // replaces the fast path below — a single chip is its
-        // 1-shard case.
-        std::vector<uint64_t> masks(models.size(), ~0ull);
-        auto shard_out = runRecoveryLoop(
-            cfg, models, minCoresCache, arrivals, masks, 1,
-            [this](size_t model,
-                   unsigned cores) -> const ServiceProfile & {
-                return profile(model, cores);
-            },
-            injector.get(), res);
-        res.minServiceLatency = shard_out[0].minServiceLatency;
-        res.coreTimeline = std::move(shard_out[0].timeline);
-        finalizeServingResult(res, cfg.sloCycles,
-                              cfg.system.coreBudget);
-        stats().resetAll();
-        res.dumpStats(stats());
-        return res;
-    }
-
-    // The whole per-chip event-loop state — ledger, region, queue,
-    // running set, policy — lives in the ShardEngine (shard.hh),
-    // shared with the cluster tier. This loop owns only event
-    // ordering: next arrival vs. next completion, completion first
-    // on ties (cores free up before the simultaneous arrival is
-    // considered — the documented tie-break).
-    ShardEngine engine(
-        cfg, models, minCoresCache, res.requests,
+    std::vector<uint64_t> masks(models.size(), ~0ull);
+    ServingResult res = runServingLoop(
+        cfg, models, minCoresCache, generateArrivals(), masks, 1,
         [this](size_t model, unsigned cores) -> const ServiceProfile & {
             return profile(model, cores);
-        });
-
-    size_t next_arrival = 0;
-    Cycles now = 0;
-    bool truncated = false;
-    if (cfg.system.engine == EngineKind::Event) {
-        // The same loop as scheduled events on the shared kernel
-        // (DESIGN.md §15). Completions ride priority 0, arrivals
-        // priority 1, so at one cycle every completion retires
-        // before the arrival is considered — the documented
-        // tie-break, now encoded in the ordering key instead of a
-        // comparison. Arrivals form a self-scheduling chain (each
-        // handler schedules its successor); completions use
-        // wake-up scheduling with stale-event guards: the engine
-        // arms one wake at its earliest pending finish whenever
-        // that moves earlier, a fired wake re-checks actual state,
-        // and a wake that no longer matches (batch already retired
-        // by an earlier event this cycle) is a harmless no-op.
-        EventQueue eq;
-        constexpr int kPrioComplete = 0;
-        constexpr int kPrioArrive = 1;
-        Cycles armed = kNever;
-        EventQueue::HandlerId wake_h = 0, arrive_h = 0;
-        auto arm = [&] {
-            Cycles nf = engine.nextFinish();
-            if (nf != kNever && nf < armed) {
-                armed = nf;
-                eq.schedule(nf, kPrioComplete, wake_h, 0);
-            }
-        };
-        wake_h = eq.addHandler([&](Cycles t, uint64_t) {
-            if (armed <= t)
-                armed = kNever;
-            // Retire every batch finishing at t, admitting after
-            // each retirement — exactly the sequence the ticked
-            // loop produces when it re-picks this engine while its
-            // nextFinish stays at t.
-            while (engine.nextFinish() == t) {
-                now = t;
-                engine.complete(t);
-                engine.tryAdmit(t);
-            }
-            arm();
-        });
-        arrive_h = eq.addHandler([&](Cycles t, uint64_t) {
-            uint64_t id = next_arrival++;
-            now = t;
-            if (next_arrival < arrivals.size()) {
-                eq.schedule(arrivals[next_arrival].cycle,
-                            kPrioArrive, arrive_h, 0);
-            }
-            if (!engine.enqueue(id)) {
-                res.requests[id].rejected = true;
-                ++res.rejected;
-                return; // rejected arrivals admit nothing
-            }
-            engine.tryAdmit(t);
-            arm();
-        });
-        if (!arrivals.empty())
-            eq.schedule(arrivals[0].cycle, kPrioArrive, arrive_h, 0);
-        while (!eq.empty()) {
-            if (cfg.cutoff && eq.nextAt() > cfg.cutoff)
-                break;
-            eq.step();
-        }
-        // Same exit predicate as the ticked loop's break: work
-        // remained past the cutoff. (Leftover stale wakes alone
-        // are not work; engine.idle() is the truth.)
-        truncated = cfg.cutoff
-            && (next_arrival < arrivals.size() || !engine.idle());
-    } else {
-        while (next_arrival < arrivals.size() || !engine.idle()) {
-            Cycles t_arrive = next_arrival < arrivals.size()
-                ? arrivals[next_arrival].cycle
-                : kNever;
-            Cycles t_finish = engine.nextFinish();
-            Cycles t_next = std::min(t_arrive, t_finish);
-            if (cfg.cutoff && t_next > cfg.cutoff) {
-                truncated = true;
-                break;
-            }
-            now = t_next;
-            if (t_finish <= t_arrive) {
-                engine.complete(now);
-            } else {
-                uint64_t id = next_arrival++;
-                if (!engine.enqueue(id)) {
-                    res.requests[id].rejected = true;
-                    ++res.rejected;
-                    continue;
-                }
-            }
-            engine.tryAdmit(now);
-        }
-    }
-
-    // The measured window ends at the last event when the run
-    // drained; only a run actually truncated by the cutoff is
-    // measured to the cutoff. (Pinning endCycle to an unreached
-    // cutoff would deflate throughput and utilization.)
-    res.endCycle = truncated ? cfg.cutoff : now;
-    res.minServiceLatency = engine.minServiceLatencySeen();
-    res.coreTimeline = engine.takeTimeline();
-
-    finalizeServingResult(res, cfg.sloCycles,
-                          cfg.system.coreBudget);
+        },
+        injector.get());
 
     // Publish this run's outcome into the component's StatGroup so
     // a --stats-json dump sees it without extra plumbing.

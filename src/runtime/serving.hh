@@ -120,17 +120,12 @@ struct ServingConfig
      * region and pipeline through the segment sequence (one new
      * sample per bottleneck-segment interval). 1 disables batching.
      *
-     * By default only the *contiguous* same-model run starting at
-     * the admitted request joins the batch, so batching can never
+     * Only the *contiguous* same-model run starting at the
+     * admitted request joins the batch, so batching can never
      * reorder completions against arrival order (the FIFO
-     * contract). batchAcrossQueue restores the scan over the whole
-     * queue, which pulls same-model requests from behind
-     * different-model ones.
+     * contract).
      */
     unsigned maxBatch = 1;
-
-    /** Batch by scanning the whole queue (reorders; see maxBatch). */
-    bool batchAcrossQueue = false;
 
     /** Admission order (`--policy=fifo|sjf|priority`). */
     SchedPolicy policy = SchedPolicy::Fifo;
@@ -181,10 +176,9 @@ struct ServingConfig
     ShardPolicy shardPolicy = ShardPolicy::RoundRobin;
 
     // ------------------------------------------------------------
-    // Fault injection and recovery (DESIGN.md §16). All defaults
-    // leave recovery inactive, which routes run() through the
-    // pre-fault event loops unchanged — the byte-identity
-    // contract for fault-free runs.
+    // Fault injection and recovery (DESIGN.md §16). With every
+    // default, the serving loop schedules no fault, timeout or
+    // retry event, and the stats dump has no availability keys.
     // ------------------------------------------------------------
 
     /** Fault schedule (`--faults=FILE`, `--fault-seed/-rate`). */
@@ -225,9 +219,10 @@ struct ServingConfig
 };
 
 /**
- * True when @p cfg asks for any recovery semantics: run() then
- * takes the unified recovery event loop (runtime/recovery.hh)
- * instead of the fault-free fast paths.
+ * True when @p cfg asks for any recovery semantics (faults,
+ * timeouts or shedding). It only selects the stats-dump schema:
+ * it becomes ServingResult::recovery, which adds the availability
+ * keys. Every run takes the same loop (runtime/serving_loop.hh).
  */
 inline bool
 recoveryActive(const ServingConfig &cfg)
@@ -280,7 +275,7 @@ struct UtilizationSample
 /**
  * Latency profile of one model in one region size: the memoized
  * outcome of one isolated inference probe (ServingSimulator::
- * profile), shared by the single-chip event loop, the SJF cost
+ * profile), shared by the serving loop, the SJF cost
  * estimates, and every shard of a cluster (identical hardware per
  * shard means the profile is shard-independent).
  */
@@ -336,10 +331,9 @@ struct ServingResult
     uint64_t pending = 0; ///< queued or in flight at cutoff
 
     /**
-     * Recovery semantics were active for this run (DESIGN.md §16).
-     * Gates the availability counters below in dumpStats so a
-     * fault-free run's stats dump stays byte-identical to the
-     * pre-fault schema.
+     * recoveryActive() held for this run (DESIGN.md §16). Gates
+     * the availability counters below in dumpStats, so a
+     * fault-free run's stats dump has none of their keys.
      */
     bool recovery = false;
 
@@ -414,8 +408,8 @@ struct ServingResult
  * time-weighted utilization of @p total_cores over
  * @p res .coreTimeline. Expects @p res with requests, offered,
  * rejected, endCycle, minServiceLatency, and coreTimeline already
- * filled; shared verbatim by the single-chip run(), the cluster
- * aggregate, and the per-shard result slices so every tier
+ * filled; the serving loop (serving_loop.hh) runs it on the
+ * aggregate and on every per-shard slice, so every tier
  * summarizes with identical arithmetic.
  */
 void finalizeServingResult(ServingResult &res, Cycles slo_cycles,

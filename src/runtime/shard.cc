@@ -153,30 +153,17 @@ ShardEngine::tryAdmit(Cycles now)
         coresInFlight += grant;
 
         // Collect the admitted request plus same-model companions
-        // into one batch. Default: only the contiguous same-model
-        // run starting at the admitted position, so batching never
+        // into one batch: only the contiguous same-model run
+        // starting at the admitted position, so batching never
         // pulls a request past a different-model one (the
-        // no-reordering contract). cfg.batchAcrossQueue restores
-        // the whole-queue scan.
+        // no-reordering contract).
         std::vector<uint64_t> &batch = r.members;
         unsigned max_batch = std::max(1u, cfg.maxBatch);
-        if (cfg.batchAcrossQueue) {
-            for (auto it = queue.begin() + pos;
-                 it != queue.end() && batch.size() < max_batch;) {
-                if (it->model == head.model) {
-                    batch.push_back(it->id);
-                    it = dequeue(it);
-                } else {
-                    ++it;
-                }
-            }
-        } else {
-            auto it = queue.begin() + pos;
-            while (it != queue.end() && batch.size() < max_batch
-                   && it->model == head.model) {
-                batch.push_back(it->id);
-                it = dequeue(it);
-            }
+        auto it = queue.begin() + pos;
+        while (it != queue.end() && batch.size() < max_batch
+               && it->model == head.model) {
+            batch.push_back(it->id);
+            it = dequeue(it);
         }
         maicc_assert(!batch.empty());
 
@@ -188,8 +175,8 @@ ShardEngine::tryAdmit(Cycles now)
         Cycles interval = sp.interval;
         // Transient DRAM-outage / NoC-degradation windows scale
         // the service profile at admission time. Applied only when
-        // the product differs from 1.0 so the fault-free path runs
-        // the exact pre-fault integer arithmetic.
+        // the product differs from 1.0, so a run without slowdowns
+        // keeps the exact integer arithmetic.
         double slow = slowdownAt(now);
         if (slow != 1.0) {
             lat = static_cast<Cycles>(
@@ -215,7 +202,7 @@ ShardEngine::tryAdmit(Cycles now)
 std::vector<uint64_t>
 ShardEngine::failStop(Cycles now)
 {
-    // The recovery loop retires completions strictly before the
+    // The serving loop retires completions strictly before the
     // fault cycle first, so every batch still running here is
     // genuinely in flight — its members are killed mid-service and
     // must be re-dispatched elsewhere.

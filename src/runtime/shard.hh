@@ -2,19 +2,12 @@
  * @file
  * The per-chip serving engine: one chip shard's event-loop state.
  *
- * PR 3–6 grew the single-chip serving loop (serving.cc) into an
- * admission path with pluggable policies, contiguous region
- * carving, batching, and self-checked ledger/region lock-step. The
- * cluster tier (cluster.hh) needs exactly that machinery N times
- * over — one independent (CoreLedger, RegionAllocator, waiting
- * queue, running set) per chip — so the loop's mutable state and
- * its admission/completion transitions live here, extracted
- * verbatim. ServingSimulator::run() drives one ShardEngine;
- * ClusterSimulator::run() drives N of them behind a cross-chip
- * dispatcher. The extraction is behavior-preserving: the
- * single-chip path performs the identical operations in the
- * identical order, which is what keeps `--chips=1` byte-identical
- * to the pre-cluster stats dump.
+ * A chip's serving state is one independent (CoreLedger,
+ * RegionAllocator, waiting queue, running set) with admission
+ * policies, contiguous region carving, batching, and self-checked
+ * ledger/region lock-step. The serving loop (serving_loop.hh)
+ * drives one ShardEngine per chip behind its cross-chip
+ * dispatcher; a single chip is the 1-shard case.
  *
  * A ShardEngine does not own request records or service profiles:
  * it mutates the shared per-run RequestRecord vector (each record
@@ -72,7 +65,7 @@ class ShardEngine
                 const std::vector<ServedModel> &models,
                 const std::vector<unsigned> &min_cores,
                 std::vector<RequestRecord> &requests,
-                ProfileFn profile, unsigned shard_index = 0);
+                ProfileFn profile, unsigned shard_index);
 
     /** Earliest running batch's finish cycle, or kNever. */
     Cycles nextFinish() const
@@ -80,8 +73,9 @@ class ShardEngine
         return running.empty() ? kNever : running.top().finish;
     }
 
-    /** True when nothing is running (the queue is then empty too —
-     * admission at the last event drained or admitted it). */
+    /** True when nothing is running (the queue is then empty too:
+     * the dispatcher queues only what canServe() accepts, and an
+     * idle shard admits any such request). */
     bool idle() const { return running.empty(); }
 
     /** True when an arrival would be rejected (waiting room full). */
@@ -143,10 +137,10 @@ class ShardEngine
     }
 
     // ------------------------------------------------------------
-    // Fault transitions (DESIGN.md §16). Only the recovery loop
-    // (recovery.cc) calls these; the fault-free serving/cluster
-    // paths never touch them, which is what keeps those paths
-    // byte-identical to the pre-fault build.
+    // Liveness and fault transitions (DESIGN.md §16). The
+    // dispatcher asks canServe() at every dispatch; the
+    // transitions run only on fault and timeout events, which a
+    // fault-free run never schedules.
     // ------------------------------------------------------------
 
     /** True after a chip-fail-stop killed this shard. */
@@ -255,8 +249,8 @@ class ShardEngine
     std::vector<UtilizationSample> timeline;
     Cycles minService = kNever;
 
-    // Fault state — all of it stays at the defaults on the
-    // fault-free paths.
+    // Fault state — all of it stays at the defaults in a
+    // fault-free run.
     bool isDead = false;
     std::vector<Slowdown> slowdowns;
 };

@@ -100,7 +100,6 @@ TEST(Config, NonDefaultValuesSurviveTheRoundTrip)
     cfg.system.dram.accessBytes = 32;
     cfg.core.wbPorts = 2;
     cfg.serving.maxBatch = 4;
-    cfg.serving.batchAcrossQueue = true;
     cfg.serving.policy = SchedPolicy::Priority;
     cfg.serving.backfill = true;
     cfg.serving.sloCycles = 750'000;
@@ -116,7 +115,6 @@ TEST(Config, NonDefaultValuesSurviveTheRoundTrip)
     EXPECT_EQ(back.system.dram.accessBytes, 32u);
     EXPECT_EQ(back.core.wbPorts, 2u);
     EXPECT_EQ(back.serving.maxBatch, 4u);
-    EXPECT_TRUE(back.serving.batchAcrossQueue);
     EXPECT_EQ(back.serving.policy, SchedPolicy::Priority);
     EXPECT_TRUE(back.serving.backfill);
     EXPECT_EQ(back.serving.sloCycles, 750'000u);
@@ -188,6 +186,47 @@ TEST(Config, SixtyFourChipsIsAccepted)
     std::string err;
     ASSERT_TRUE(loadConfig(in, cfg, &err)) << err;
     EXPECT_EQ(cfg.serving.chips, 64u);
+}
+
+TEST(Config, OutOfRangeCoreBudgetIsAnErrorWithTheRange)
+{
+    // The budget is carved from the geometry's 210 compute nodes:
+    // anything outside [1, 210] must be refused by the binder
+    // instead of panicking (or dividing by zero) in the serving
+    // tier.
+    for (const char *budget : {"0", "211", "300", "-1"}) {
+        SimConfig cfg;
+        std::istringstream in(
+            std::string("{\"system\": {\"coreBudget\": ") + budget
+            + "}}");
+        std::string err;
+        EXPECT_FALSE(loadConfig(in, cfg, &err)) << budget;
+        EXPECT_EQ(err, "system.coreBudget: expected an integer in "
+                       "[1, 210]")
+            << budget;
+    }
+}
+
+TEST(Config, CoreBudgetRangeEndsAreAccepted)
+{
+    for (unsigned budget : {1u, 210u}) {
+        SimConfig cfg;
+        std::istringstream in("{\"system\": {\"coreBudget\": "
+                              + std::to_string(budget) + "}}");
+        std::string err;
+        ASSERT_TRUE(loadConfig(in, cfg, &err)) << err;
+        EXPECT_EQ(cfg.system.coreBudget, budget);
+    }
+}
+
+TEST(Config, RemovedBatchAcrossQueueKeyIsUnknown)
+{
+    SimConfig cfg;
+    std::istringstream in(
+        "{\"serving\": {\"batchAcrossQueue\": true}}");
+    std::string err;
+    EXPECT_FALSE(loadConfig(in, cfg, &err));
+    EXPECT_EQ(err, "serving.batchAcrossQueue: unknown key");
 }
 
 TEST(Config, ShardPolicySpellingsAllParse)

@@ -15,7 +15,11 @@
  *  - serving and cluster runs at 1 and 8 host threads with the
  *    timing-result cache off, cold, and warmed *by the other
  *    engine* (the cache key pins the engine, so entries must
- *    replay across engines);
+ *    replay across engines). Both engines drive the same serving
+ *    loop (runtime/serving_loop.hh); what differs is the
+ *    MaiccSystem run behind every (model, cores) service profile,
+ *    so these cases pin that the profiles, and every outcome built
+ *    on them, agree;
  *  - hostSeconds publication: absent from default stats dumps
  *    (they are byte-compared across engines), present only under
  *    SimContext::enableHostTimers.
@@ -416,6 +420,8 @@ TEST(EngineDifferential, ServingCacheWarmedByOtherEngineReplays)
 
 TEST(EngineDifferential, ClusterIdenticalAcrossEngines)
 {
+    // Several shards share one profiler: the engines must agree on
+    // every profile the dispatcher's placements ask for.
     Workload w;
     for (unsigned chips : {3u, 4u}) {
         SCOPED_TRACE("chips " + std::to_string(chips));

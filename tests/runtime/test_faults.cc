@@ -1,12 +1,12 @@
 /**
  * @file
  * Acceptance suite for deterministic fault injection and the
- * serving-tier recovery machinery (src/fault/, runtime/recovery.cc,
- * DESIGN.md §16):
+ * serving-tier recovery machinery (src/fault/,
+ * runtime/serving_loop.cc, DESIGN.md §16):
  *
- *  - a recovery-active run with no fault ever firing is bitwise
- *    identical to the fault-free fast path (the recovery loop is a
- *    strict superset of the legacy event loop's semantics);
+ *  - a timeout no request can reach changes no outcome: the run is
+ *    bitwise identical to one without timeouts, and its stats dump
+ *    differs only by the availability keys;
  *  - a chip fail-stop mid-run recovers via cross-chip failover:
  *    zero lost requests, the conservation rule green, the dead
  *    shard excluded from every later dispatch;
@@ -26,7 +26,9 @@
  *    fault-free --stats-json dump stays byte-compatible).
  */
 
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -38,7 +40,6 @@
 #include "check/invariants.hh"
 #include "fault/injector.hh"
 #include "runtime/cluster.hh"
-#include "runtime/recovery.hh"
 #include "runtime/serving.hh"
 #include "runtime/sim_cache.hh"
 
@@ -70,6 +71,19 @@ runCluster(const Workload &w, ServingConfig cfg,
     c->attach(ctx);
     ClusterResult r = c->run();
     return {std::move(r), ctx.statsToJson().dump()};
+}
+
+/** Every leaf of @p j as path -> compact JSON value. */
+void
+flattenJson(const Json &j, const std::string &path,
+            std::map<std::string, std::string> &out)
+{
+    if (!j.isObject()) {
+        out[path] = j.dump();
+        return;
+    }
+    for (const auto &[key, value] : j.members())
+        flattenJson(value, path + "/" + key, out);
 }
 
 /** Disposition counters of @p r sum to offered (conservation). */
@@ -107,23 +121,50 @@ TEST(Faults, RecoveryActiveGate)
     EXPECT_TRUE(recoveryActive(cfg));
 }
 
-TEST(Faults, RecoveryLoopMatchesFastPathWhenNoFaultFires)
+TEST(Faults, UnreachableTimeoutChangesNoOutcome)
 {
     Workload w;
     ServingConfig cfg = baseConfig();
 
-    auto plain = w.simulator(cfg);
-    ServingResult fast = plain->run();
+    auto run = [&](const ServingConfig &c) {
+        SimContext ctx;
+        auto sim = w.simulator(c);
+        sim->attachTo(ctx);
+        ServingResult r = sim->run();
+        std::map<std::string, std::string> leaves;
+        flattenJson(ctx.statsToJson(), "", leaves);
+        return std::make_pair(std::move(r), std::move(leaves));
+    };
+    auto [plain, plain_dump] = run(cfg);
 
-    // A timeout horizon no request can ever hit engages the
-    // recovery loop without changing any admission decision: the
-    // two loops must produce bitwise-identical outcomes.
+    // A timeout horizon no request can ever hit arms timeouts
+    // without changing any admission decision: the outcomes must be
+    // bitwise identical, and only the dump schema may change.
     cfg.timeoutCycles = Cycles(1) << 40;
-    auto rec = w.simulator(cfg);
-    ServingResult slow = rec->run();
-    EXPECT_TRUE(slow.recovery);
-    EXPECT_FALSE(fast.recovery);
-    expectIdenticalResults(fast, slow, "fast path vs recovery");
+    auto [timed, timed_dump] = run(cfg);
+    EXPECT_TRUE(timed.recovery);
+    EXPECT_FALSE(plain.recovery);
+    expectIdenticalResults(plain, timed, "no timeout vs unreachable");
+
+    // The dumps differ exactly by the availability keys, all zero.
+    std::set<std::string> extra;
+    for (const auto &[path, value] : timed_dump) {
+        auto it = plain_dump.find(path);
+        if (it == plain_dump.end()) {
+            extra.insert(path);
+            EXPECT_EQ(value, Json(0).dump()) << path;
+        } else {
+            EXPECT_EQ(value, it->second) << path;
+        }
+    }
+    EXPECT_EQ(plain_dump.size() + extra.size(), timed_dump.size());
+    std::set<std::string> availability;
+    for (const char *key :
+         {"shed", "timedOut", "retries", "failovers",
+          "faults.chipFailStop", "faults.coreLoss",
+          "faults.dramOutage", "faults.nocDegrade"})
+        availability.insert(std::string("/serving/counters/") + key);
+    EXPECT_EQ(extra, availability);
 }
 
 TEST(Faults, ChipFailStopFailsOverWithNoLostRequests)

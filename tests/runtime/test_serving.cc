@@ -8,17 +8,20 @@
  *  - reported p99 >= p95 >= p50 >= the minimum single-request
  *    service latency;
  *  - completed + pending + rejected == offered, under draining,
- *    cutoff, and admission-control configurations;
+ *    cutoff, and admission-control configurations, and a request
+ *    no shard can ever hold is rejected, never stranded;
  *  - mean latency is non-decreasing across an offered-load sweep
  *    (the scaled-arrival coupling in generateArrivals);
  *  - trace-file arrivals and same-model batching behave as
  *    documented.
  */
 
+#include <algorithm>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "check/invariants.hh"
 #include "common/rand_network.hh"
 #include "common/serving_fixtures.hh"
 #include "nn/network.hh"
@@ -110,6 +113,57 @@ TEST(Serving, RequestAccountingBalances)
               pending.offered);
     EXPECT_GT(pending.pending, 0u);
     EXPECT_EQ(pending.endCycle, 400'000u);
+}
+
+TEST(Serving, ModelThatCanNeverFitIsRejectedNotStranded)
+{
+    // A budget below every model's minimum node group: no shard
+    // can ever hold a request, so the dispatcher rejects each one
+    // at its arrival instead of queueing it forever. The run then
+    // drains at the last arrival, with or without a cutoff past
+    // it, on one chip and behind a cluster dispatcher.
+    Workload w;
+    ServingConfig cfg = baseConfig();
+    auto probe = w.simulator(cfg);
+    const std::vector<unsigned> &min_cores = probe->minCoresTable();
+    cfg.system.coreBudget =
+        *std::min_element(min_cores.begin(), min_cores.end()) - 1;
+    ASSERT_GE(cfg.system.coreBudget, 1u);
+    std::vector<ServingArrival> arrivals = probe->arrivals();
+    ASSERT_FALSE(arrivals.empty());
+    Cycles last_arrival = arrivals.back().cycle;
+
+    auto expect_all_rejected = [&](const ServingResult &r) {
+        EXPECT_EQ(r.offered, arrivals.size());
+        EXPECT_EQ(r.rejected, r.offered);
+        EXPECT_EQ(r.completed, 0u);
+        EXPECT_EQ(r.pending, 0u);
+        EXPECT_EQ(r.endCycle, last_arrival);
+        check::CheckResult counters = check::checkServingCounters(
+            {r.offered, r.completed, r.rejected, r.shed, r.timedOut,
+             r.pending});
+        EXPECT_TRUE(counters.ok()) << counters.summary();
+        trace::TraceSink sink;
+        appendServingTrace(r, sink);
+        check::CheckResult causality =
+            check::checkServingTrace(sink.serving, r.offered);
+        EXPECT_TRUE(causality.ok()) << causality.summary();
+    };
+
+    for (Cycles cutoff : {Cycles(0), last_arrival + 1'000'000}) {
+        cfg.cutoff = cutoff;
+        SCOPED_TRACE("cutoff " + std::to_string(cutoff));
+        cfg.chips = 1;
+        expect_all_rejected(w.simulator(cfg)->run());
+
+        cfg.chips = 2;
+        ClusterResult c = w.cluster(cfg)->run();
+        expect_all_rejected(c.aggregate);
+        // Rejections stay with the dispatcher, not a shard.
+        ASSERT_EQ(c.shards.size(), 2u);
+        for (const ServingResult &slice : c.shards)
+            EXPECT_EQ(slice.offered, 0u);
+    }
 }
 
 TEST(Serving, MeanLatencyNonDecreasingAcrossLoadSweep)

@@ -5,9 +5,8 @@
  * written to fail on the pre-fix code, plus the pluggable policy
  * layer:
  *
- *  - FIFO contract: same-model batching no longer pulls requests
- *    from behind a different-model request (reordering survives
- *    only behind the explicit batchAcrossQueue knob);
+ *  - FIFO contract: same-model batching never pulls requests
+ *    from behind a different-model request;
  *  - fragmentation: admission carves *contiguous* serpentine runs
  *    only — a request whose node group fits the free-core count but
  *    not any contiguous run waits for coalescing instead of being
@@ -94,29 +93,6 @@ TEST(ServingPolicies, BatchingDoesNotJumpDifferentModelRequests)
     // The FIFO completion contract: the radar finishes before the
     // camera that arrived after it.
     EXPECT_LT(r.requests[2].finish, r.requests[3].finish);
-}
-
-TEST(ServingPolicies, BatchAcrossQueueKnobRestoresQueueScan)
-{
-    // The pre-fix behavior — batching across different-model
-    // requests — is still reachable, but only by explicit opt-in.
-    Workload w;
-    ServingConfig cfg = traceConfig();
-    cfg.system.coreBudget = 14;
-    cfg.maxBatch = 4;
-    cfg.batchAcrossQueue = true;
-    auto sim = simWithTrace(w, cfg,
-                            "0 camera\n"
-                            "1 camera\n"
-                            "2 radar\n"
-                            "3 camera\n");
-    ServingResult r = sim->run();
-    ASSERT_EQ(r.completed, 4u);
-    // Request 3 is pulled into request 1's batch, ahead of the
-    // radar (the documented reordering).
-    EXPECT_EQ(r.requests[1].batchSize, 2u);
-    EXPECT_EQ(r.requests[3].start, r.requests[1].start);
-    EXPECT_LT(r.requests[3].start, r.requests[2].start);
 }
 
 TEST(ServingPolicies, ContiguousBatchingStillCoalescesBursts)
