@@ -25,7 +25,12 @@
  *    SimContext::enableHostTimers.
  */
 
+#include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -50,6 +55,80 @@
 using namespace maicc;
 using testserv::Workload;
 using testserv::expectIdenticalResults;
+
+namespace
+{
+
+/**
+ * The golden record of one case: "key value" lines, one per
+ * checked quantity (one per line of a multi-line value), compared line for line against
+ * tests/engine/golden/<case>.txt — or written there when
+ * MAICC_REGOLD is set. Doubles print with 17 significant digits,
+ * which round-trips every value, so a text match is a bitwise
+ * match.
+ */
+class Golden
+{
+  public:
+    explicit Golden(std::string case_name)
+        : name(std::move(case_name))
+    {
+    }
+
+    template <typename T>
+    void
+    put(const std::string &key, const T &v)
+    {
+        std::ostringstream os;
+        if constexpr (std::is_floating_point_v<T>)
+            os.precision(17);
+        os << v;
+        // A multi-line value (a registry dump) keeps its key on
+        // every line, so a mismatch report names what differs.
+        std::istringstream value(os.str());
+        for (std::string l; std::getline(value, l);)
+            lines.push_back(key + " " + l);
+    }
+
+    /** Write (MAICC_REGOLD) or compare the recorded lines. */
+    void
+    check() const
+    {
+        std::string path =
+            std::string(MAICC_GOLDEN_DIR) + "/" + name + ".txt";
+        if (std::getenv("MAICC_REGOLD")) {
+            std::ofstream f(path);
+            ASSERT_TRUE(f.good()) << "cannot write " << path;
+            for (const std::string &l : lines)
+                f << l << "\n";
+            return;
+        }
+        std::ifstream f(path);
+        ASSERT_TRUE(f.good())
+            << "missing golden " << path
+            << " — run with MAICC_REGOLD=1 to generate";
+        std::vector<std::string> want;
+        for (std::string l; std::getline(f, l);)
+            want.push_back(l);
+        EXPECT_EQ(lines.size(), want.size()) << path;
+        unsigned reported = 0;
+        for (size_t i = 0; i < std::min(lines.size(), want.size())
+             && reported < 20; ++i) {
+            if (lines[i] != want[i]) {
+                ++reported;
+                ADD_FAILURE() << path << ":" << i + 1
+                              << "\n  golden: " << want[i]
+                              << "\n  actual: " << lines[i];
+            }
+        }
+    }
+
+  private:
+    std::string name;
+    std::vector<std::string> lines;
+};
+
+} // namespace
 
 namespace
 {
@@ -87,7 +166,8 @@ runNocTraffic(MeshNoc &noc, uint64_t seed, unsigned packets,
 }
 
 void
-expectNocIdentical(uint64_t seed, unsigned packets, unsigned waves)
+expectNocIdentical(const char *case_name, uint64_t seed,
+                   unsigned packets, unsigned waves)
 {
     SCOPED_TRACE("seed " + std::to_string(seed) + " packets "
                  + std::to_string(packets));
@@ -111,13 +191,26 @@ expectNocIdentical(uint64_t seed, unsigned packets, unsigned waves)
     // ...and the same registry dump (includes the cycle counter,
     // so a skip-ahead jump landing on a wrong cycle fails here).
     EXPECT_EQ(tj, ej);
+
+    Golden g(case_name);
+    for (NodeId n = 0; n < 256; ++n) {
+        std::ostringstream tags;
+        tags << event.delivered(n).size() << ":";
+        for (const Packet &p : event.delivered(n))
+            tags << " " << p.tag;
+        g.put("node" + std::to_string(n), tags.str());
+    }
+    g.put("packetsDelivered", event.packetsDelivered());
+    g.put("avgPacketLatency", event.avgPacketLatency());
+    g.put("registry", ej);
+    g.check();
 }
 
 } // namespace
 
 TEST(EngineDifferential, NocDenseRandomTraffic)
 {
-    expectNocIdentical(101, 400, 3);
+    expectNocIdentical("noc_dense", 101, 400, 3);
 }
 
 TEST(EngineDifferential, NocSparseLowOccupancyTraffic)
@@ -125,7 +218,7 @@ TEST(EngineDifferential, NocSparseLowOccupancyTraffic)
     // A handful of long-haul packets: almost every drain cycle is
     // idle, so the event engine spends its time in clock jumps —
     // the case the skip-ahead math must get exactly right.
-    expectNocIdentical(77, 3, 4);
+    expectNocIdentical("noc_sparse", 77, 3, 4);
 }
 
 TEST(EngineDifferential, NocSingleFlitAcrossTheMesh)
@@ -143,6 +236,10 @@ TEST(EngineDifferential, NocSingleFlitAcrossTheMesh)
     EXPECT_EQ(ticked.avgPacketLatency(), event.avgPacketLatency());
     EXPECT_DOUBLE_EQ(event.avgPacketLatency(),
                      event.zeroLoadLatency(30, 1));
+
+    Golden g("noc_single_flit");
+    g.put("avgPacketLatency", event.avgPacketLatency());
+    g.check();
 }
 
 namespace
@@ -178,6 +275,7 @@ runCore(const rv32::Program &prog, EngineKind engine)
 
 TEST(EngineDifferential, CoreTimingRandomPrograms)
 {
+    Golden g("core_random_programs");
     for (uint64_t seed = 1; seed <= 12; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         Rng rng(seed);
@@ -195,7 +293,21 @@ TEST(EngineDifferential, CoreTimingRandomPrograms)
         EXPECT_EQ(t.branchPenaltyCycles, e.branchPenaltyCycles);
         EXPECT_EQ(t.localMemOps, e.localMemOps);
         EXPECT_EQ(t.remoteOps, e.remoteOps);
+
+        std::string k = "seed" + std::to_string(seed) + ".";
+        g.put(k + "cycles", e.cycles);
+        g.put(k + "insts", e.insts);
+        g.put(k + "cmemInsts", e.cmemInsts);
+        g.put(k + "cmemBusyCycles", e.cmemBusyCycles);
+        g.put(k + "stallRaw", e.stallRaw);
+        g.put(k + "stallWaw", e.stallWaw);
+        g.put(k + "stallQueueFull", e.stallQueueFull);
+        g.put(k + "stallStructural", e.stallStructural);
+        g.put(k + "branchPenaltyCycles", e.branchPenaltyCycles);
+        g.put(k + "localMemOps", e.localMemOps);
+        g.put(k + "remoteOps", e.remoteOps);
     }
+    g.check();
 }
 
 namespace
@@ -236,6 +348,7 @@ asTriples(const std::vector<DramCompletion> &done)
 
 TEST(EngineDifferential, DramPollingDrainVsEventDrain)
 {
+    Golden g("dram_drain");
     for (uint64_t seed : {5u, 6u, 7u}) {
         SCOPED_TRACE("seed " + std::to_string(seed));
 
@@ -274,7 +387,25 @@ TEST(EngineDifferential, DramPollingDrainVsEventDrain)
         EXPECT_EQ(ts.activates, es.activates);
         EXPECT_EQ(ts.rowHits, es.rowHits);
         EXPECT_EQ(ts.busyCycles, es.busyCycles);
+
+        // Far fewer wake-ups than simulated cycles.
+        EXPECT_LT(eq.eventsRun(), uint64_t(last));
+        std::string k = "seed" + std::to_string(seed) + ".";
+        for (size_t i = 0; i < edone.size(); ++i) {
+            const DramCompletion &d = edone[i];
+            g.put(k + "done" + std::to_string(i),
+                  std::to_string(d.tag) + " "
+                      + std::to_string(d.finishedAt) + " "
+                      + std::to_string(int(d.write)));
+        }
+        g.put(k + "last", last);
+        g.put(k + "reads", es.reads);
+        g.put(k + "writes", es.writes);
+        g.put(k + "activates", es.activates);
+        g.put(k + "rowHits", es.rowHits);
+        g.put(k + "busyCycles", es.busyCycles);
     }
+    g.check();
 }
 
 namespace
@@ -313,6 +444,8 @@ runSystem(const SystemFixture &m, EngineKind engine,
 TEST(EngineDifferential, SystemRunIdentical)
 {
     SystemFixture m(buildSmallCnn(16, 16, 64), 43);
+    auto ref = referenceRun(m.net, m.weights, m.input);
+    Golden g("system_run");
     for (unsigned threads : {1u, 8u}) {
         SCOPED_TRACE(threads);
         RunResult t = runSystem(m, EngineKind::Ticked, threads);
@@ -331,10 +464,24 @@ TEST(EngineDifferential, SystemRunIdentical)
             EXPECT_EQ(t.segments[i].start, e.segments[i].start);
             EXPECT_EQ(t.segments[i].end, e.segments[i].end);
         }
-        // Anchor: both match the functional reference.
-        auto ref = referenceRun(m.net, m.weights, m.input);
+        // Anchor: every layer matches the functional reference.
         EXPECT_EQ(e.output().data, ref.final().data);
+        ASSERT_EQ(e.layerOutputs.size(), ref.outputs.size());
+        for (size_t i = 0; i < e.layerOutputs.size(); ++i)
+            EXPECT_EQ(e.layerOutputs[i].data, ref.outputs[i].data)
+                << "layer " << i;
+
+        std::string k = "threads" + std::to_string(threads) + ".";
+        g.put(k + "totalCycles", e.totalCycles);
+        g.put(k + "nocFlitHops", e.activity.nocFlitHops);
+        g.put(k + "dramAccesses", e.activity.dramAccesses);
+        g.put(k + "segments", e.segments.size());
+        for (size_t i = 0; i < e.segments.size(); ++i)
+            g.put(k + "seg" + std::to_string(i),
+                  std::to_string(e.segments[i].start) + " "
+                      + std::to_string(e.segments[i].end));
     }
+    g.check();
 }
 
 namespace
@@ -369,6 +516,64 @@ runServing(const Workload &w, ServingConfig cfg,
     return {std::move(r), ctx.statsToJson().dump()};
 }
 
+/** Every field expectIdenticalResults compares, under @p k. */
+void
+putServing(Golden &g, const std::string &k, const ServingResult &r)
+{
+    g.put(k + "offered", r.offered);
+    g.put(k + "completed", r.completed);
+    g.put(k + "rejected", r.rejected);
+    g.put(k + "pending", r.pending);
+    g.put(k + "shed", r.shed);
+    g.put(k + "timedOut", r.timedOut);
+    g.put(k + "retries", r.retries);
+    g.put(k + "failovers", r.failovers);
+    g.put(k + "faultChipFailStop", r.faultChipFailStop);
+    g.put(k + "faultCoreLoss", r.faultCoreLoss);
+    g.put(k + "faultDramOutage", r.faultDramOutage);
+    g.put(k + "faultNocDegrade", r.faultNocDegrade);
+    g.put(k + "endCycle", r.endCycle);
+    g.put(k + "minServiceLatency", r.minServiceLatency);
+    g.put(k + "sloMet", r.sloMet);
+    g.put(k + "sloMissed", r.sloMissed);
+    g.put(k + "p50", r.p50);
+    g.put(k + "p95", r.p95);
+    g.put(k + "p99", r.p99);
+    g.put(k + "meanLatency", r.meanLatency);
+    g.put(k + "meanQueueing", r.meanQueueing);
+    g.put(k + "utilization", r.utilization);
+    g.put(k + "requests", r.requests.size());
+    for (size_t i = 0; i < r.requests.size(); ++i) {
+        const RequestRecord &x = r.requests[i];
+        std::ostringstream os;
+        os << x.model << " " << x.priorityClass << " " << x.arrival
+           << " " << x.start << " " << x.finish << " " << x.cores
+           << " " << x.batchSize << " " << x.shard << " "
+           << x.rejected << " " << x.completed << " " << x.retries
+           << " " << x.shed << " " << x.timedOut;
+        g.put(k + "request" + std::to_string(i), os.str());
+    }
+    g.put(k + "classes", r.classes.size());
+    for (size_t i = 0; i < r.classes.size(); ++i) {
+        const ClassResult &c = r.classes[i];
+        std::string ck = k + "class" + std::to_string(i) + ".";
+        g.put(ck + "priorityClass", c.priorityClass);
+        g.put(ck + "offered", c.offered);
+        g.put(ck + "completed", c.completed);
+        g.put(ck + "p50", c.p50);
+        g.put(ck + "p95", c.p95);
+        g.put(ck + "p99", c.p99);
+        g.put(ck + "meanLatency", c.meanLatency);
+        g.put(ck + "sloMet", c.sloMet);
+        g.put(ck + "sloMissed", c.sloMissed);
+    }
+    g.put(k + "coreTimeline", r.coreTimeline.size());
+    for (size_t i = 0; i < r.coreTimeline.size(); ++i)
+        g.put(k + "sample" + std::to_string(i),
+              std::to_string(r.coreTimeline[i].cycle) + " "
+                  + std::to_string(r.coreTimeline[i].usedCores));
+}
+
 } // namespace
 
 TEST(EngineDifferential, ServingIdenticalAcrossThreadsAndCache)
@@ -376,6 +581,8 @@ TEST(EngineDifferential, ServingIdenticalAcrossThreadsAndCache)
     Workload w;
     auto [ref, ref_json] =
         runServing(w, servingConfig(EngineKind::Event, 1, 0));
+    Golden g("serving");
+    putServing(g, "", ref);
 
     for (unsigned threads : {1u, 8u}) {
         for (unsigned entries : {0u, 64u}) {
@@ -397,8 +604,12 @@ TEST(EngineDifferential, ServingIdenticalAcrossThreadsAndCache)
             // byte — simulated results are cache-oblivious by the
             // PR 6 contract.
             EXPECT_EQ(tj, ej);
+            g.put("threads" + std::to_string(threads) + ".cache"
+                      + std::to_string(entries) + ".registry",
+                  ej);
         }
     }
+    g.check();
 }
 
 TEST(EngineDifferential, ServingCacheWarmedByOtherEngineReplays)
@@ -423,6 +634,7 @@ TEST(EngineDifferential, ClusterIdenticalAcrossEngines)
     // Several shards share one profiler: the engines must agree on
     // every profile the dispatcher's placements ask for.
     Workload w;
+    Golden g("cluster");
     for (unsigned chips : {3u, 4u}) {
         SCOPED_TRACE("chips " + std::to_string(chips));
         ServingConfig tc = servingConfig(EngineKind::Ticked, 1, 0);
@@ -448,7 +660,16 @@ TEST(EngineDifferential, ClusterIdenticalAcrossEngines)
         }
         EXPECT_EQ(tctx.statsToJson().dump(),
                   ectx.statsToJson().dump());
+
+        std::string k = "chips" + std::to_string(chips) + ".";
+        putServing(g, k + "aggregate.", e.aggregate);
+        g.put(k + "shards", e.shards.size());
+        for (size_t i = 0; i < e.shards.size(); ++i)
+            putServing(g, k + "shard" + std::to_string(i) + ".",
+                       e.shards[i]);
+        g.put(k + "registry", ectx.statsToJson().dump());
     }
+    g.check();
 }
 
 TEST(EngineDifferential, HostSecondsOptInOnly)
