@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <thread>
 
 #include "common/sim_component.hh"
@@ -29,6 +30,24 @@ parseUint(const std::string &s, uint64_t &out)
         return false;
     out = v;
     return true;
+}
+
+/** parseUint() that also rejects values above @p hi. */
+bool
+parseUintAtMost(const std::string &s, uint64_t hi, uint64_t &out)
+{
+    uint64_t v = 0;
+    if (!parseUint(s, v) || v > hi)
+        return false;
+    out = v;
+    return true;
+}
+
+std::string
+rangeError(const char *what, uint64_t hi)
+{
+    return std::string(what) + ": expected an integer in [0, "
+        + std::to_string(hi) + "]";
 }
 
 bool
@@ -74,18 +93,22 @@ Options::Options(std::string tool_name, int &argc, char **argv)
     // Environment first (lowest precedence above the defaults).
     if (const char *env = std::getenv("MAICC_TRACE"))
         trace = env;
-    uint64_t env_threads = 0;
-    bool env_threads_set = false;
-    if (const char *env = std::getenv("MAICC_THREADS"))
-        env_threads_set = parseUint(env, env_threads);
-    if (env_threads_set)
-        config.system.numThreads = unsigned(env_threads);
+    const uint64_t max_threads = SystemConfig::kMaxNumThreads;
+    const char *env_threads = std::getenv("MAICC_THREADS");
+    if (env_threads && *env_threads) {
+        uint64_t v = 0;
+        if (parseUintAtMost(env_threads, max_threads, v))
+            config.system.numThreads = unsigned(v);
+        else
+            error = rangeError("MAICC_THREADS", max_threads);
+    }
 
     // Config file overlays the defaults (and the env threads).
     configPath = take(argc, argv, "config");
     if (!configPath.empty()) {
         std::string err;
-        if (!loadConfigFile(configPath, config, &err))
+        if (!loadConfigFile(configPath, config, &err)
+            && error.empty())
             error = err;
     }
 
@@ -93,10 +116,10 @@ Options::Options(std::string tool_name, int &argc, char **argv)
     std::string threads_s = take(argc, argv, "threads");
     if (!threads_s.empty()) {
         uint64_t v = 0;
-        if (parseUint(threads_s, v))
+        if (parseUintAtMost(threads_s, max_threads, v))
             config.system.numThreads = unsigned(v);
         else if (error.empty())
-            error = "--threads: expected an unsigned integer";
+            error = rangeError("--threads", max_threads);
     }
     std::string seed_s = take(argc, argv, "seed");
     if (!seed_s.empty()) {
@@ -111,10 +134,12 @@ Options::Options(std::string tool_name, int &argc, char **argv)
     std::string sim_cache_s = take(argc, argv, "sim-cache");
     if (!sim_cache_s.empty()) {
         uint64_t v = 0;
-        if (parseUint(sim_cache_s, v))
+        const uint64_t max_entries =
+            std::numeric_limits<unsigned>::max();
+        if (parseUintAtMost(sim_cache_s, max_entries, v))
             config.system.simCacheEntries = unsigned(v);
         else if (error.empty())
-            error = "--sim-cache: expected an unsigned integer";
+            error = rangeError("--sim-cache", max_entries);
     }
     std::string policy_s = take(argc, argv, "policy");
     if (!policy_s.empty()
@@ -145,12 +170,6 @@ Options::Options(std::string tool_name, int &argc, char **argv)
         && error.empty()) {
         error = "--shard-policy: expected round-robin, "
                 "least-loaded, or model-affinity";
-    }
-    std::string engine_s = take(argc, argv, "engine");
-    if (!engine_s.empty()
-        && !parseEngine(engine_s, config.system.engine)
-        && error.empty()) {
-        error = "--engine: expected ticked or event";
     }
     std::string faults_s = take(argc, argv, "faults");
     if (!faults_s.empty()) {
@@ -230,12 +249,7 @@ Options::Options(std::string tool_name, int &argc, char **argv)
         }
     }
 
-    // Keep the one system tree consistent (serving runs under it)
-    // and slave every per-model engine knob to system.engine —
-    // `--engine` is the single selector (DESIGN.md §15).
-    config.system.noc.engine = config.system.engine;
-    config.system.dram.engine = config.system.engine;
-    config.core.engine = config.system.engine;
+    // Keep the one system tree consistent (serving runs under it).
     config.serving.system = config.system;
     if (seedSet)
         config.serving.seed = seedVal;
@@ -294,8 +308,7 @@ Options::finish(bool allow_extra)
             stderr,
             "common flags: --config=FILE --dump-config "
             "--stats-json=FILE --threads=N --seed=S "
-            "--trace=FILE --sim-cache=N "
-            "--engine=ticked|event --host-timers "
+            "--trace=FILE --sim-cache=N --host-timers "
             "--policy=fifo|sjf|priority --slo-cycles=N "
             "--chips=N "
             "--shard-policy=round-robin|least-loaded|"

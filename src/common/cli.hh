@@ -10,7 +10,8 @@
  *   --dump-config     print the effective config JSON and exit
  *   --stats-json=FILE dump the SimContext stat registry as JSON
  *                     after the run ("-" = stdout)
- *   --threads=N       host threads (also MAICC_THREADS; 0 = hw)
+ *   --threads=N       host threads in [0, 64] (also MAICC_THREADS;
+ *                     0 = hw)
  *   --seed=S          RNG seed where the binary uses one
  *   --trace=FILE      commit-trace JSONL (also MAICC_TRACE)
  *   --sim-cache=N     timing-result cache capacity in entries
@@ -35,12 +36,6 @@
  *   --backoff-cycles=N base of the exponential retry backoff
  *   --shed-queue-depth=N shed fresh arrivals when the total queued
  *                     depth reaches N (0 = shedding off)
- *   --engine=E        simulation engine: event (skip-ahead
- *                     wake-up scheduling, the default) or ticked
- *                     (legacy advance-every-cycle loops); also
- *                     MAICC_ENGINE. Results are byte-identical;
- *                     only the simulator's wall-clock changes
- *                     (DESIGN.md §15)
  *   --host-timers     include per-component host wall-clock
  *                     attribution (hostSeconds) in --stats-json
  *

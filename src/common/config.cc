@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "common/json.hh"
+#include "common/logging.hh"
 
 namespace maicc
 {
@@ -32,9 +34,15 @@ class ObjectReader
 
     bool ok() const { return good; }
 
+    /**
+     * Read an integer into @p out, rejecting values outside
+     * [lo, hi] — by default the range @p T can hold, so a negative
+     * count never wraps to a huge unsigned one.
+     */
     template <typename T>
     void
-    integer(const char *key, T &out)
+    integer(const char *key, T &out, int64_t lo = minOf<T>(),
+            int64_t hi = maxOf<T>())
     {
         const Json *v = get(key);
         if (!v)
@@ -43,7 +51,15 @@ class ObjectReader
             fail(key, "expected an integer");
             return;
         }
-        out = static_cast<T>(v->asInt());
+        int64_t i = v->asInt();
+        if (i < lo || i > hi) {
+            std::string what = "expected an integer in ["
+                + std::to_string(lo) + ", " + std::to_string(hi)
+                + "]";
+            fail(key, what.c_str());
+            return;
+        }
+        out = static_cast<T>(i);
     }
 
     void
@@ -143,6 +159,24 @@ class ObjectReader
     }
 
   private:
+    /** The range of @p T, clamped to what a JSON integer holds. */
+    template <typename T>
+    static constexpr int64_t
+    minOf()
+    {
+        return int64_t(std::numeric_limits<T>::min());
+    }
+
+    template <typename T>
+    static constexpr int64_t
+    maxOf()
+    {
+        return uint64_t(std::numeric_limits<T>::max())
+                > uint64_t(std::numeric_limits<int64_t>::max())
+            ? std::numeric_limits<int64_t>::max()
+            : int64_t(std::numeric_limits<T>::max());
+    }
+
     const Json *
     get(const char *key)
     {
@@ -303,7 +337,6 @@ toJson(const SystemConfig &c)
     j.set("clockHz", c.clockHz);
     j.set("numThreads", c.numThreads);
     j.set("simCacheEntries", c.simCacheEntries);
-    j.set("engine", engineName(c.engine));
     j.set("geometry", toJson(c.geometry));
     j.set("noc", toJson(c.noc));
     j.set("dram", toJson(c.dram));
@@ -320,12 +353,21 @@ fromJson(const Json &j, SystemConfig &out, std::string *err,
     r.integer("coreBudget", budget);
     r.integer("dramChannels", out.dramChannels);
     r.number("clockHz", out.clockHz);
-    r.integer("numThreads", out.numThreads);
+    r.integer("numThreads", out.numThreads, 0,
+              SystemConfig::kMaxNumThreads);
     r.integer("simCacheEntries", out.simCacheEntries);
-    std::string engine = engineName(out.engine);
-    r.string("engine", engine);
-    if (!parseEngine(engine, out.engine))
-        r.fail("engine", "expected \"ticked\" or \"event\"");
+    // Deprecated: the event engine is the only one left, so its
+    // name still loads (with a warning) and anything else fails.
+    if (const Json *engine = r.take("engine")) {
+        if (engine->isString() && engine->asString() == "event") {
+            maicc_warn("%s.engine: deprecated key, ignored (the "
+                       "event engine is the only engine)",
+                       path.c_str());
+        } else {
+            r.fail("engine", "the ticked engine was removed; only "
+                             "\"event\" is accepted");
+        }
+    }
     r.nested("geometry", out.geometry);
     r.nested("noc", out.noc);
     r.nested("dram", out.dram);
@@ -340,11 +382,6 @@ fromJson(const Json &j, SystemConfig &out, std::string *err,
     } else {
         out.coreBudget = unsigned(budget);
     }
-    // One engine knob: the NoC/DRAM subtrees carry working copies
-    // (their toJson deliberately omits them), always slaved to
-    // system.engine.
-    out.noc.engine = out.engine;
-    out.dram.engine = out.engine;
     return r.finish();
 }
 
@@ -489,11 +526,9 @@ servingFromJson(const Json &j, ServingConfig &out,
     r.integer("sloCycles", out.sloCycles);
     r.integer("cutoff", out.cutoff);
     r.boolean("selfCheck", out.selfCheck);
-    r.integer("chips", out.chips);
     // Shard masks are uint64_t, so 64 chips is the ceiling (the
     // same bound as --chips).
-    if (out.chips < 1 || out.chips > 64)
-        r.fail("chips", "expected an integer in [1, 64]");
+    r.integer("chips", out.chips, 1, 64);
     std::string shard_policy = shardPolicyName(out.shardPolicy);
     r.string("shardPolicy", shard_policy);
     if (!parseShardPolicy(shard_policy, out.shardPolicy))
@@ -542,10 +577,7 @@ fromJson(const Json &j, SimConfig &out, std::string *err)
         ok = false;
     }
     // One system tree: the serving layer always runs under the
-    // top-level system config. The core model's engine knob is
-    // likewise slaved to system.engine (one `--engine` flag, one
-    // config key).
-    out.core.engine = out.system.engine;
+    // top-level system config.
     out.serving.system = out.system;
     return ok;
 }

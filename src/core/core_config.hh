@@ -12,7 +12,6 @@
 #define MAICC_CORE_CORE_CONFIG_HH
 
 #include "common/types.hh"
-#include "engine/engine_kind.hh"
 
 namespace maicc
 {
@@ -44,17 +43,6 @@ struct CoreConfig
 
     /** Taken-branch redirect penalty (fetch + decode flush). */
     Cycles branchPenalty = 2;
-
-    /**
-     * Inner-loop engine (DESIGN.md §15): `Event` resolves
-     * multi-cycle structural stalls (write-back port booking) by
-     * skipping directly over fully booked cycles instead of
-     * probing them one at a time; `Ticked` keeps the legacy
-     * per-cycle probe. Host-side knob — the chosen slot, and so
-     * every cycle count, is identical. Set through
-     * `system.engine` / `--engine`.
-     */
-    EngineKind engine = defaultEngineKind();
 };
 
 /** Cycle-level result of running a program on the core model. */

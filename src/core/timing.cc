@@ -67,29 +67,10 @@ CoreTimingModel::recordStats()
 Cycles
 CoreTimingModel::bookWbPort(Cycles ready)
 {
-    if (cfg.engine == EngineKind::Ticked) {
-        // Legacy per-cycle probe: try ready, ready+1, ... until a
-        // cycle with a free port turns up.
-        Cycles slot = ready;
-        while (true) {
-            auto it = wbBookings.find(slot);
-            if (it == wbBookings.end()) {
-                wbBookings.emplace(slot, 1);
-                return slot;
-            }
-            if (it->second < cfg.wbPorts) {
-                ++it->second;
-                return slot;
-            }
-            ++slot;
-        }
-    }
-
-    // Event engine: the booking map is sparse — any cycle without
-    // an entry is free — so walk the ordered entries from `ready`
-    // and stop at the first gap or not-fully-booked entry. Picks
-    // exactly the slot the per-cycle probe would (the first cycle
-    // >= ready with bookings < wbPorts), without touching the
+    // The booking map is sparse — any cycle without an entry is
+    // free — so walk the ordered entries from `ready` and stop at
+    // the first gap or not-fully-booked entry: the first cycle
+    // >= ready with bookings < wbPorts, found without probing the
     // fully-booked cycles in between one at a time.
     Cycles slot = ready;
     auto it = wbBookings.lower_bound(ready);

@@ -13,15 +13,14 @@
  *
  * Skip-ahead falls out of the representation: between events no
  * simulated time is modeled at all, so an idle stretch costs
- * nothing (contrast the legacy ticked loops, which advance every
- * router/channel every cycle). Components that cannot know their
+ * nothing. Components that cannot know their
  * next interesting cycle exactly may schedule a conservative
  * earlier wake-up and re-check state when it fires; stale wake-ups
  * must be no-ops (the "stale events are harmless" rule in §15).
  */
 
-#ifndef MAICC_ENGINE_EVENT_QUEUE_HH
-#define MAICC_ENGINE_EVENT_QUEUE_HH
+#ifndef MAICC_EVENT_QUEUE_HH
+#define MAICC_EVENT_QUEUE_HH
 
 #include <cstdint>
 #include <deque>
@@ -29,7 +28,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "engine/engine_kind.hh"
 
 namespace maicc
 {
@@ -168,4 +166,4 @@ class EventQueue
 
 } // namespace maicc
 
-#endif // MAICC_ENGINE_EVENT_QUEUE_HH
+#endif // MAICC_EVENT_QUEUE_HH

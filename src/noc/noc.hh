@@ -21,7 +21,6 @@
 #include "common/sim_component.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "engine/engine_kind.hh"
 
 namespace maicc
 {
@@ -33,16 +32,6 @@ struct NocConfig
     int height = 16;             ///< mesh rows
     unsigned routerLatency = 2;  ///< per-hop pipeline cycles
     unsigned queueDepth = 4;     ///< flits per input queue
-
-    /**
-     * Inner-loop engine (DESIGN.md §15). `Event` walks only the
-     * active-router/injector sets each cycle and lets drain()
-     * skip idle stretches outright; `Ticked` is the legacy
-     * visit-every-router loop. Results are byte-identical —
-     * the knob is host-side, like numThreads. Not a config-file
-     * key of its own: `system.engine` (and `--engine`) set it.
-     */
-    EngineKind engine = defaultEngineKind();
 };
 
 /** An in-flight packet. Payload words ride with the head flit. */
@@ -121,12 +110,12 @@ class MeshNoc : public SimComponent
     void tick();
 
     /**
-     * Run until nothing is in flight (or @p max_cycles). Under
-     * the event engine, cycles in which no flit can move (all
-     * queued flits still in router pipelines) are skipped in one
-     * jump to the next eligibility cycle — the observable end
-     * state, final cycle count, and every counter are identical
-     * to the ticked loop (the skipped ticks are provably no-ops).
+     * Run until nothing is in flight (or @p max_cycles). Cycles
+     * in which no flit can move (all queued flits still in router
+     * pipelines) are skipped in one jump to the next eligibility
+     * cycle — the observable end state, final cycle count, and
+     * every counter are those of calling tick() every cycle (the
+     * skipped ticks are provably no-ops).
      */
     void drain(Cycles max_cycles = 10'000'000);
 
@@ -214,13 +203,12 @@ class MeshNoc : public SimComponent
     double latencySum = 0.0;
 
     // Active-set / O(1)-idle bookkeeping (kept consistent by
-    // pushRouterFlit/popRouterFlit and the injection path under
-    // BOTH engines, so idle() and the differential suite see one
-    // truth). activeRouters/activeInjectors are ordered sets:
-    // the event engine iterates them in ascending node id, the
-    // same relative order as the ticked full sweep — that is what
-    // makes the move list (and thus every commit, stat update,
-    // and floating-point accumulation) byte-identical.
+    // pushRouterFlit/popRouterFlit and the injection path).
+    // activeRouters/activeInjectors are ordered sets: tick()
+    // iterates them in ascending node id, the same relative order
+    // as a sweep over every node — that is what keeps the move
+    // list (and thus every commit, stat update, and
+    // floating-point accumulation) identical to that sweep.
     std::vector<uint32_t> routerFlits; ///< flits queued per router
     uint64_t queuedFlits = 0;          ///< total router-queued flits
     uint64_t pendingInjectPackets = 0; ///< packets not fully injected

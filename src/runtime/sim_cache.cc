@@ -118,11 +118,6 @@ makeTimingKey(const Network &net, const MappingPlan &plan,
     SystemConfig pinned = sys;
     pinned.numThreads = 0;
     pinned.simCacheEntries = 0;
-    // The engine selector is host-side too (ticked and event runs
-    // are byte-identical by the DESIGN.md §15 contract), so a
-    // cache entry written under one engine must be replayable
-    // under the other.
-    pinned.engine = EngineKind::Event;
     m += "sys=";
     m += toJson(pinned).dump();
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 
 #include "common/bitfield.hh"
 #include "common/logging.hh"
-#include "engine/event_queue.hh"
 #include "runtime/int8_dot.hh"
 
 namespace maicc
@@ -527,8 +525,7 @@ MaiccSystem::run(const MappingPlan &plan, const Tensor3 &input,
 
     // One segment of the streaming pipeline: filter load
     // (overlapped with the previous segment), layer execution,
-    // write-back accounting. Identical arithmetic under both
-    // engines; only the driving loop differs.
+    // write-back accounting.
     auto run_segment = [&](const auto &seg) {
         SegmentRunStats seg_stats;
         SegmentPlacement placement = placeSegment(seg,
@@ -573,32 +570,8 @@ MaiccSystem::run(const MappingPlan &plan, const Tensor3 &input,
         result.segments.push_back(std::move(seg_stats));
     };
 
-    if (cfg.engine == EngineKind::Event) {
-        // The streaming loop as scheduled events (DESIGN.md §15):
-        // each segment is one wake-up, chained by its predecessor
-        // at the earliest cycle the segment could start (the
-        // previous segment's end; the handler itself computes the
-        // exact start, which may be later under filter-load
-        // back-pressure). Event times are nondecreasing — start
-        // >= prev_end by construction — and the per-segment
-        // arithmetic is untouched, so the result is identical to
-        // the plain loop.
-        EventQueue eq;
-        std::function<void(size_t)> schedule_segment =
-            [&](size_t idx) {
-                if (idx >= plan.segments.size())
-                    return;
-                eq.schedule(prev_end, 0, [&, idx](Cycles) {
-                    run_segment(plan.segments[idx]);
-                    schedule_segment(idx + 1);
-                });
-            };
-        schedule_segment(0);
-        eq.drain();
-    } else {
-        for (const auto &seg : plan.segments)
-            run_segment(seg);
-    }
+    for (const auto &seg : plan.segments)
+        run_segment(seg);
     ensure_pools(net.size());
 
     for (size_t i = 0; i < net.size(); ++i)

@@ -72,9 +72,16 @@ struct SystemConfig
     /**
      * Host threads stepping node shards in parallel (DESIGN.md
      * "Concurrency model"). Results are bitwise identical at any
-     * value; 1 = fully serial, 0 = hardware concurrency.
+     * value; 1 = fully serial, 0 = hardware concurrency. At most
+     * kMaxNumThreads.
      */
     unsigned numThreads = 1;
+
+    /**
+     * Upper bound of numThreads: defaultShards() splits a pass
+     * into at most 64 jobs, so further workers never get work.
+     */
+    static constexpr unsigned kMaxNumThreads = 64;
 
     /**
      * LRU capacity (entries) of the serving layer's timing-result
@@ -87,21 +94,6 @@ struct SystemConfig
      * example sets it.
      */
     unsigned simCacheEntries = 0;
-
-    /**
-     * Inner-loop engine (DESIGN.md §15): `Event` (default) drives
-     * the streaming segment loop through the shared event kernel
-     * (one scheduled event per segment) and propagates to the
-     * NoC / DRAM / core subtrees; `Ticked` keeps every legacy
-     * advance-everything loop. A host-side knob like numThreads
-     * and simCacheEntries: results are byte-identical either way
-     * (the differential suite pins this), so the sim-cache key
-     * pins it to a constant. `--engine=ticked|event` or
-     * `system.engine` in a config file set it; assigning it here
-     * also assigns noc.engine / dram.engine / the core knob via
-     * fromJson and the CLI layer.
-     */
-    EngineKind engine = defaultEngineKind();
 
     /**
      * Fraction of the peak aggregate DRAM bandwidth the batched

@@ -2,15 +2,23 @@
  * @file
  * The JSON config binding (common/config.hh): lossless round
  * trips, partial overlays, and strict unknown-key / type-mismatch
- * errors with usable paths.
+ * / range errors with usable paths; plus the range checks of the
+ * shared command-line front end (common/cli.hh). No case
+ * constructs a pool or system with a rejected value.
  */
 
+#include <cstdlib>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/cli.hh"
 #include "common/config.hh"
 #include "common/json.hh"
+#include "common/logging.hh"
 
 using namespace maicc;
 
@@ -23,6 +31,47 @@ dumpToString(const SimConfig &cfg)
     std::ostringstream os;
     dumpConfig(os, cfg);
     return os.str();
+}
+
+/** loadConfig() on @p text; the error message, "" on success. */
+std::string
+loadError(const std::string &text, SimConfig &cfg)
+{
+    std::istringstream in(text);
+    std::string err;
+    return loadConfig(in, cfg, &err) ? "" : err;
+}
+
+/**
+ * Parse @p args through cli::Options (parse only: nothing runs)
+ * with MAICC_THREADS set to @p env_threads (unset when null),
+ * restoring the caller's environment afterwards.
+ * @return finish()'s verdict and the resolved thread count.
+ */
+std::pair<bool, unsigned>
+parseOptions(std::vector<std::string> args,
+             const char *env_threads = nullptr)
+{
+    const char *old = std::getenv("MAICC_THREADS");
+    std::string saved = old ? old : "";
+    if (env_threads)
+        setenv("MAICC_THREADS", env_threads, 1);
+    else
+        unsetenv("MAICC_THREADS");
+
+    args.insert(args.begin(), "test_config");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    int argc = int(argv.size());
+    cli::Options opt("test_config", argc, argv.data());
+    bool ok = opt.finish();
+
+    if (old)
+        setenv("MAICC_THREADS", saved.c_str(), 1);
+    else
+        unsetenv("MAICC_THREADS");
+    return {ok, opt.threads()};
 }
 
 } // namespace
@@ -385,4 +434,123 @@ TEST(Config, UnknownFaultEventKeyIsAnErrorWithPath)
     EXPECT_NE(err.find("events[0].cores"), std::string::npos)
         << err;
     EXPECT_NE(err.find("unknown key"), std::string::npos) << err;
+}
+
+TEST(Config, NegativeCountsAreRangeErrorsNotWraps)
+{
+    // Each of these used to load as a wrapped unsigned (-1 became
+    // 4294967295 host threads).
+    const std::pair<const char *, const char *> cases[] = {
+        {"{\"system\": {\"numThreads\": -1}}",
+         "system.numThreads: expected an integer in [0, 64]"},
+        {"{\"system\": {\"dramChannels\": -3}}",
+         "system.dramChannels: expected an integer in "
+         "[0, 4294967295]"},
+        {"{\"system\": {\"simCacheEntries\": -1}}",
+         "system.simCacheEntries: expected an integer in "
+         "[0, 4294967295]"},
+        {"{\"system\": {\"noc\": {\"queueDepth\": -1}}}",
+         "system.noc.queueDepth: expected an integer in "
+         "[0, 4294967295]"},
+        {"{\"system\": {\"dramChannels\": 4294967296}}",
+         "system.dramChannels: expected an integer in "
+         "[0, 4294967295]"},
+    };
+    for (const auto &[text, want] : cases) {
+        SimConfig cfg;
+        unsigned threads = cfg.system.numThreads;
+        EXPECT_EQ(loadError(text, cfg), want) << text;
+        EXPECT_EQ(cfg.system.numThreads, threads) << text;
+    }
+}
+
+TEST(Config, MoreThanSixtyFourThreadsIsAnErrorWithTheRange)
+{
+    // defaultShards() splits a pass into at most 64 jobs, so more
+    // workers could never get work.
+    SimConfig cfg;
+    EXPECT_EQ(loadError("{\"system\": {\"numThreads\": 65}}", cfg),
+              "system.numThreads: expected an integer in [0, 64]");
+    EXPECT_EQ(cfg.system.numThreads, 1u);
+    EXPECT_EQ(loadError("{\"system\": {\"numThreads\": 64}}", cfg),
+              "");
+    EXPECT_EQ(cfg.system.numThreads, 64u);
+}
+
+TEST(Config, EventEngineKeyLoadsWithOneWarning)
+{
+    // The removed engine selector: its one surviving value still
+    // loads, with a deprecation warning naming the key.
+    bool was_verbose = verbose();
+    setVerbose(true);
+    SimConfig cfg;
+    testing::internal::CaptureStderr();
+    std::string err =
+        loadError("{\"system\": {\"engine\": \"event\"}}", cfg);
+    std::string out = testing::internal::GetCapturedStderr();
+    setVerbose(was_verbose);
+    EXPECT_EQ(err, "");
+    size_t first = out.find("warn:");
+    ASSERT_NE(first, std::string::npos) << out;
+    EXPECT_EQ(out.find("warn:", first + 1), std::string::npos) << out;
+    EXPECT_NE(out.find("system.engine"), std::string::npos) << out;
+}
+
+TEST(Config, TickedEngineKeyIsAnErrorWithPath)
+{
+    for (const char *value : {"\"ticked\"", "\"EVENT\"", "1"}) {
+        SimConfig cfg;
+        std::string err = loadError(
+            std::string("{\"system\": {\"engine\": ") + value
+                + "}}",
+            cfg);
+        EXPECT_EQ(err, "system.engine: the ticked engine was "
+                       "removed; only \"event\" is accepted")
+            << value;
+    }
+}
+
+TEST(Config, DumpOmitsTheRemovedEngineKey)
+{
+    EXPECT_EQ(toJson(SystemConfig{}).find("engine"), nullptr);
+}
+
+TEST(CliOptions, ThreadsOutOfRangeIsAnError)
+{
+    // 4294967297 used to truncate to 1 thread.
+    for (const char *bad :
+         {"--threads=4294967297", "--threads=65", "--threads=-1",
+          "--threads=many"}) {
+        auto [ok, threads] = parseOptions({bad});
+        EXPECT_FALSE(ok) << bad;
+        EXPECT_EQ(threads, 1u) << bad;
+    }
+    auto [ok, threads] = parseOptions({"--threads=64"});
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(threads, 64u);
+}
+
+TEST(CliOptions, SimCacheOutOfRangeIsAnError)
+{
+    EXPECT_FALSE(parseOptions({"--sim-cache=4294967296"}).first);
+    EXPECT_TRUE(parseOptions({"--sim-cache=4294967295"}).first);
+}
+
+TEST(CliOptions, BadMaiccThreadsIsAnError)
+{
+    // A non-numeric value used to be ignored without a word.
+    for (const char *bad : {"lots", "65", "4294967297"}) {
+        auto [ok, threads] = parseOptions({}, bad);
+        EXPECT_FALSE(ok) << bad;
+        EXPECT_EQ(threads, 1u) << bad;
+    }
+    auto [ok, threads] = parseOptions({}, "8");
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(threads, 8u);
+}
+
+TEST(CliOptions, RemovedEngineFlagIsUnrecognized)
+{
+    EXPECT_FALSE(parseOptions({"--engine=event"}).first);
+    EXPECT_FALSE(parseOptions({"--engine=ticked"}).first);
 }

@@ -1,28 +1,35 @@
 /**
  * @file
- * Ticked-vs-event differential suite (DESIGN.md §15): the two
- * engines must produce *byte-identical* results — cycle counts,
- * delivery orders, every stat counter, and the full --stats-json
- * registry dump — on every refitted model. Covers:
+ * Golden-replay suite for the event engine (DESIGN.md §15): every
+ * case replays a seeded run and compares it, byte for byte —
+ * cycle counts, delivery orders, every stat counter, and the full
+ * --stats-json registry dump — against a checked-in record under
+ * tests/engine/golden/. The records were written while a legacy
+ * advance-every-cycle twin of each model still existed, by a run
+ * that asserted both engines agreed, so they pin the
+ * cycle-by-cycle semantics the skip-ahead code must keep. Covers:
  *
  *  - MeshNoc under seeded random traffic (dense and the sparse
  *    low-occupancy case where skip-ahead jumps dominate);
  *  - CoreTimingModel over seeded random RV32+CMem programs (the
- *    write-back port booking is the engine-sensitive path);
+ *    write-back port booking skips fully booked cycles);
  *  - ManyCoreDram: per-cycle polling drain vs the event-kernel
- *    drainVia(), completion for completion;
- *  - MaiccSystem end-to-end runs (streaming segment loop);
+ *    drainVia(), completion for completion, plus the record;
+ *  - MaiccSystem end-to-end runs (streaming segment loop), also
+ *    checked layer by layer against the reference executor;
  *  - serving and cluster runs at 1 and 8 host threads with the
- *    timing-result cache off, cold, and warmed *by the other
- *    engine* (the cache key pins the engine, so entries must
- *    replay across engines). Both engines drive the same serving
- *    loop (runtime/serving_loop.hh); what differs is the
- *    MaiccSystem run behind every (model, cores) service profile,
- *    so these cases pin that the profiles, and every outcome built
- *    on them, agree;
+ *    timing-result cache off, cold, and warmed by an earlier run
+ *    (a warmed cache must replay, not fork new entries);
  *  - hostSeconds publication: absent from default stats dumps
- *    (they are byte-compared across engines), present only under
- *    SimContext::enableHostTimers.
+ *    (they are byte-compared against the records), present only
+ *    under SimContext::enableHostTimers.
+ *
+ * To regenerate after an *intentional* timing-model change:
+ *
+ *   MAICC_REGOLD=1 ./tests/test_engine
+ *
+ * which rewrites the records in the source tree; review the diff
+ * like any other code change.
  */
 
 #include <algorithm>
@@ -61,7 +68,8 @@ namespace
 
 /**
  * The golden record of one case: "key value" lines, one per
- * checked quantity (one per line of a multi-line value), compared line for line against
+ * checked quantity (one per line of a multi-line value),
+ * compared line for line against
  * tests/engine/golden/<case>.txt — or written there when
  * MAICC_REGOLD is set. Doubles print with 17 significant digits,
  * which round-trips every value, so a text match is a bitwise
@@ -128,20 +136,9 @@ class Golden
     std::vector<std::string> lines;
 };
 
-} // namespace
 
-namespace
-{
-
-NocConfig
-nocConfig(EngineKind engine)
-{
-    NocConfig cfg;
-    cfg.engine = engine;
-    return cfg;
-}
-
-/** Inject the same seeded traffic into @p noc and drain it. */
+/** Inject seeded traffic into @p noc and drain it; returns the
+ * registry dump. */
 std::string
 runNocTraffic(MeshNoc &noc, uint64_t seed, unsigned packets,
               unsigned waves)
@@ -166,43 +163,29 @@ runNocTraffic(MeshNoc &noc, uint64_t seed, unsigned packets,
 }
 
 void
-expectNocIdentical(const char *case_name, uint64_t seed,
-                   unsigned packets, unsigned waves)
+expectNocGolden(const char *case_name, uint64_t seed,
+                unsigned packets, unsigned waves)
 {
     SCOPED_TRACE("seed " + std::to_string(seed) + " packets "
                  + std::to_string(packets));
-    MeshNoc ticked(nocConfig(EngineKind::Ticked));
-    MeshNoc event(nocConfig(EngineKind::Event));
-    std::string tj = runNocTraffic(ticked, seed, packets, waves);
-    std::string ej = runNocTraffic(event, seed, packets, waves);
-
-    // Same deliveries in the same per-node order...
-    for (NodeId n = 0; n < 256; ++n) {
-        auto &td = ticked.delivered(n);
-        auto &ed = event.delivered(n);
-        ASSERT_EQ(td.size(), ed.size()) << "node " << n;
-        for (size_t i = 0; i < td.size(); ++i)
-            EXPECT_EQ(td[i].tag, ed[i].tag)
-                << "node " << n << " slot " << i;
-    }
-    EXPECT_EQ(ticked.packetsDelivered(), event.packetsDelivered());
-    // ...the same latency arithmetic, bit for bit...
-    EXPECT_EQ(ticked.avgPacketLatency(), event.avgPacketLatency());
-    // ...and the same registry dump (includes the cycle counter,
-    // so a skip-ahead jump landing on a wrong cycle fails here).
-    EXPECT_EQ(tj, ej);
+    MeshNoc noc;
+    std::string json = runNocTraffic(noc, seed, packets, waves);
 
     Golden g(case_name);
+    // The same deliveries in the same per-node order...
     for (NodeId n = 0; n < 256; ++n) {
         std::ostringstream tags;
-        tags << event.delivered(n).size() << ":";
-        for (const Packet &p : event.delivered(n))
+        tags << noc.delivered(n).size() << ":";
+        for (const Packet &p : noc.delivered(n))
             tags << " " << p.tag;
         g.put("node" + std::to_string(n), tags.str());
     }
-    g.put("packetsDelivered", event.packetsDelivered());
-    g.put("avgPacketLatency", event.avgPacketLatency());
-    g.put("registry", ej);
+    g.put("packetsDelivered", noc.packetsDelivered());
+    // ...the same latency arithmetic, bit for bit...
+    g.put("avgPacketLatency", noc.avgPacketLatency());
+    // ...and the same registry dump (includes the cycle counter,
+    // so a skip-ahead jump landing on a wrong cycle fails here).
+    g.put("registry", json);
     g.check();
 }
 
@@ -210,7 +193,7 @@ expectNocIdentical(const char *case_name, uint64_t seed,
 
 TEST(EngineDifferential, NocDenseRandomTraffic)
 {
-    expectNocIdentical("noc_dense", 101, 400, 3);
+    expectNocGolden("noc_dense", 101, 400, 3);
 }
 
 TEST(EngineDifferential, NocSparseLowOccupancyTraffic)
@@ -218,27 +201,23 @@ TEST(EngineDifferential, NocSparseLowOccupancyTraffic)
     // A handful of long-haul packets: almost every drain cycle is
     // idle, so the event engine spends its time in clock jumps —
     // the case the skip-ahead math must get exactly right.
-    expectNocIdentical("noc_sparse", 77, 3, 4);
+    expectNocGolden("noc_sparse", 77, 3, 4);
 }
 
 TEST(EngineDifferential, NocSingleFlitAcrossTheMesh)
 {
-    MeshNoc ticked(nocConfig(EngineKind::Ticked));
-    MeshNoc event(nocConfig(EngineKind::Event));
-    for (MeshNoc *noc : {&ticked, &event}) {
-        Packet p;
-        p.src = noc->nodeId(0, 0);
-        p.dst = noc->nodeId(15, 15);
-        p.sizeFlits = 1;
-        noc->inject(p);
-        noc->drain();
-    }
-    EXPECT_EQ(ticked.avgPacketLatency(), event.avgPacketLatency());
-    EXPECT_DOUBLE_EQ(event.avgPacketLatency(),
-                     event.zeroLoadLatency(30, 1));
+    MeshNoc noc;
+    Packet p;
+    p.src = noc.nodeId(0, 0);
+    p.dst = noc.nodeId(15, 15);
+    p.sizeFlits = 1;
+    noc.inject(p);
+    noc.drain();
+    EXPECT_DOUBLE_EQ(noc.avgPacketLatency(),
+                     noc.zeroLoadLatency(30, 1));
 
     Golden g("noc_single_flit");
-    g.put("avgPacketLatency", event.avgPacketLatency());
+    g.put("avgPacketLatency", noc.avgPacketLatency());
     g.check();
 }
 
@@ -261,13 +240,11 @@ struct NodeState
 };
 
 CoreRunStats
-runCore(const rv32::Program &prog, EngineKind engine)
+runCore(const rv32::Program &prog)
 {
     NodeState ns(prog);
-    CoreConfig cfg;
-    cfg.engine = engine;
     CoreTimingModel model(prog, ns.nodeMem, &ns.cmem, &ns.rows,
-                          cfg);
+                          CoreConfig{});
     return model.run();
 }
 
@@ -277,22 +254,9 @@ TEST(EngineDifferential, CoreTimingRandomPrograms)
 {
     Golden g("core_random_programs");
     for (uint64_t seed = 1; seed <= 12; ++seed) {
-        SCOPED_TRACE("seed " + std::to_string(seed));
         Rng rng(seed);
         rv32::Program prog = testgen::randomProgram(rng);
-        CoreRunStats t = runCore(prog, EngineKind::Ticked);
-        CoreRunStats e = runCore(prog, EngineKind::Event);
-        EXPECT_EQ(t.cycles, e.cycles);
-        EXPECT_EQ(t.insts, e.insts);
-        EXPECT_EQ(t.cmemInsts, e.cmemInsts);
-        EXPECT_EQ(t.cmemBusyCycles, e.cmemBusyCycles);
-        EXPECT_EQ(t.stallRaw, e.stallRaw);
-        EXPECT_EQ(t.stallWaw, e.stallWaw);
-        EXPECT_EQ(t.stallQueueFull, e.stallQueueFull);
-        EXPECT_EQ(t.stallStructural, e.stallStructural);
-        EXPECT_EQ(t.branchPenaltyCycles, e.branchPenaltyCycles);
-        EXPECT_EQ(t.localMemOps, e.localMemOps);
-        EXPECT_EQ(t.remoteOps, e.remoteOps);
+        CoreRunStats e = runCore(prog);
 
         std::string k = "seed" + std::to_string(seed) + ".";
         g.put(k + "cycles", e.cycles);
@@ -312,14 +276,6 @@ TEST(EngineDifferential, CoreTimingRandomPrograms)
 
 namespace
 {
-
-DramConfig
-dramConfig(EngineKind engine)
-{
-    DramConfig cfg;
-    cfg.engine = engine;
-    return cfg;
-}
 
 /** (tag, cycle, write) triples in completion order. */
 using Completions = std::vector<std::vector<uint64_t>>;
@@ -352,44 +308,41 @@ TEST(EngineDifferential, DramPollingDrainVsEventDrain)
     for (uint64_t seed : {5u, 6u, 7u}) {
         SCOPED_TRACE("seed " + std::to_string(seed));
 
-        // Ticked: the legacy polling sweep — advance every channel
-        // every cycle, collect in channel order.
-        ManyCoreDram ticked(8, dramConfig(EngineKind::Ticked));
-        enqueueSeeded(ticked, seed, 96);
-        std::vector<DramCompletion> tdone;
+        // Polling: tick every cycle, collect in channel order.
+        ManyCoreDram polled(8);
+        enqueueSeeded(polled, seed, 96);
+        std::vector<DramCompletion> pdone;
         Cycles c = 0;
-        while (!ticked.idle()) {
+        while (!polled.idle()) {
             ++c;
             ASSERT_LT(c, Cycles(1'000'000)) << "polling runaway";
-            ticked.tick(c);
-            for (unsigned ch = 0; ch < ticked.numChannels(); ++ch)
-                for (auto &d : ticked.channel(ch).collect(c))
-                    tdone.push_back(d);
+            polled.tick(c);
+            for (unsigned ch = 0; ch < polled.numChannels(); ++ch)
+                for (auto &d : polled.channel(ch).collect(c))
+                    pdone.push_back(d);
         }
 
         // Event: the wake-up chain drain on the shared kernel.
-        ManyCoreDram event(8, dramConfig(EngineKind::Event));
+        ManyCoreDram event(8);
         enqueueSeeded(event, seed, 96);
         std::vector<DramCompletion> edone;
         EventQueue eq;
         Cycles last = event.drainVia(eq, &edone);
 
-        ASSERT_EQ(tdone.size(), edone.size());
-        EXPECT_EQ(asTriples(tdone), asTriples(edone));
-        EXPECT_EQ(last, tdone.back().finishedAt);
+        ASSERT_EQ(pdone.size(), edone.size());
+        EXPECT_EQ(asTriples(pdone), asTriples(edone));
+        EXPECT_EQ(last, pdone.back().finishedAt);
         // Far fewer wake-ups than polled cycles is the point.
         EXPECT_LT(eq.eventsRun(), uint64_t(c));
 
-        DramStats ts = ticked.totalStats();
+        DramStats ps = polled.totalStats();
         DramStats es = event.totalStats();
-        EXPECT_EQ(ts.reads, es.reads);
-        EXPECT_EQ(ts.writes, es.writes);
-        EXPECT_EQ(ts.activates, es.activates);
-        EXPECT_EQ(ts.rowHits, es.rowHits);
-        EXPECT_EQ(ts.busyCycles, es.busyCycles);
+        EXPECT_EQ(ps.reads, es.reads);
+        EXPECT_EQ(ps.writes, es.writes);
+        EXPECT_EQ(ps.activates, es.activates);
+        EXPECT_EQ(ps.rowHits, es.rowHits);
+        EXPECT_EQ(ps.busyCycles, es.busyCycles);
 
-        // Far fewer wake-ups than simulated cycles.
-        EXPECT_LT(eq.eventsRun(), uint64_t(last));
         std::string k = "seed" + std::to_string(seed) + ".";
         for (size_t i = 0; i < edone.size(); ++i) {
             const DramCompletion &d = edone[i];
@@ -428,11 +381,9 @@ struct SystemFixture
 };
 
 RunResult
-runSystem(const SystemFixture &m, EngineKind engine,
-          unsigned threads)
+runSystem(const SystemFixture &m, unsigned threads)
 {
     SystemConfig cfg;
-    cfg.engine = engine;
     cfg.numThreads = threads;
     MaiccSystem sys(m.net, m.weights, cfg);
     MappingPlan plan = planMapping(m.net, Strategy::Heuristic, 210);
@@ -448,22 +399,7 @@ TEST(EngineDifferential, SystemRunIdentical)
     Golden g("system_run");
     for (unsigned threads : {1u, 8u}) {
         SCOPED_TRACE(threads);
-        RunResult t = runSystem(m, EngineKind::Ticked, threads);
-        RunResult e = runSystem(m, EngineKind::Event, threads);
-        EXPECT_EQ(t.totalCycles, e.totalCycles);
-        ASSERT_EQ(t.layerOutputs.size(), e.layerOutputs.size());
-        for (size_t i = 0; i < t.layerOutputs.size(); ++i)
-            EXPECT_EQ(t.layerOutputs[i].data,
-                      e.layerOutputs[i].data)
-                << "layer " << i;
-        EXPECT_EQ(t.activity.nocFlitHops, e.activity.nocFlitHops);
-        EXPECT_EQ(t.activity.dramAccesses,
-                  e.activity.dramAccesses);
-        ASSERT_EQ(t.segments.size(), e.segments.size());
-        for (size_t i = 0; i < t.segments.size(); ++i) {
-            EXPECT_EQ(t.segments[i].start, e.segments[i].start);
-            EXPECT_EQ(t.segments[i].end, e.segments[i].end);
-        }
+        RunResult e = runSystem(m, threads);
         // Anchor: every layer matches the functional reference.
         EXPECT_EQ(e.output().data, ref.final().data);
         ASSERT_EQ(e.layerOutputs.size(), ref.outputs.size());
@@ -488,16 +424,12 @@ namespace
 {
 
 ServingConfig
-servingConfig(EngineKind engine, unsigned threads,
-              unsigned sim_cache)
+servingConfig(unsigned threads, unsigned sim_cache)
 {
     ServingConfig cfg;
     cfg.seed = 11;
     cfg.offeredRequests = 18;
     cfg.meanInterarrival = 80'000;
-    cfg.system.engine = engine;
-    cfg.system.noc.engine = engine;
-    cfg.system.dram.engine = engine;
     cfg.system.numThreads = threads;
     cfg.system.simCacheEntries = sim_cache;
     return cfg;
@@ -579,8 +511,7 @@ putServing(Golden &g, const std::string &k, const ServingResult &r)
 TEST(EngineDifferential, ServingIdenticalAcrossThreadsAndCache)
 {
     Workload w;
-    auto [ref, ref_json] =
-        runServing(w, servingConfig(EngineKind::Event, 1, 0));
+    ServingResult ref = runServing(w, servingConfig(1, 0)).first;
     Golden g("serving");
     putServing(g, "", ref);
 
@@ -590,76 +521,53 @@ TEST(EngineDifferential, ServingIdenticalAcrossThreadsAndCache)
                          + " cache " + std::to_string(entries));
             TimingResultCache cache(entries);
             TimingResultCache *cp = entries ? &cache : nullptr;
-            auto [t, tj] = runServing(
-                w, servingConfig(EngineKind::Ticked, threads,
-                                 entries), cp);
-            auto [e, ej] = runServing(
-                w, servingConfig(EngineKind::Event, threads,
-                                 entries), cp);
-            expectIdenticalResults(t, ref, "ticked vs reference");
-            expectIdenticalResults(e, ref, "event vs reference");
-            // With entries > 0 the event run replays entries the
-            // ticked run wrote (the key pins the engine knob), and
-            // the serving registry dump still matches byte for
-            // byte — simulated results are cache-oblivious by the
-            // PR 6 contract.
-            EXPECT_EQ(tj, ej);
+            auto [r, json] = runServing(
+                w, servingConfig(threads, entries), cp);
+            expectIdenticalResults(r, ref, "vs reference");
+            // The serving registry dump matches the record byte
+            // for byte at every thread count and cache state —
+            // simulated results are cache-oblivious (DESIGN.md
+            // §13).
             g.put("threads" + std::to_string(threads) + ".cache"
                       + std::to_string(entries) + ".registry",
-                  ej);
+                  json);
         }
     }
     g.check();
 }
 
-TEST(EngineDifferential, ServingCacheWarmedByOtherEngineReplays)
+TEST(EngineDifferential, ServingCacheWarmedReplays)
 {
-    // A cache warmed entirely by a ticked run must hit (not fork)
-    // under the event engine: the timing key pins the engine knob.
+    // A warmed cache must hit, not fork: a second run over the
+    // same cache inserts nothing and reproduces every outcome.
     Workload w;
     TimingResultCache cache(64);
-    auto [t, tj] = runServing(
-        w, servingConfig(EngineKind::Ticked, 1, 64), &cache);
+    ServingResult warm =
+        runServing(w, servingConfig(1, 64), &cache).first;
     uint64_t insertions = cache.insertions();
     ASSERT_GT(insertions, 0u);
-    auto [e, ej] = runServing(
-        w, servingConfig(EngineKind::Event, 1, 64), &cache);
+    ServingResult replay =
+        runServing(w, servingConfig(1, 64), &cache).first;
     EXPECT_EQ(cache.insertions(), insertions)
-        << "event run forked new cache entries";
-    expectIdenticalResults(t, e, "ticked-warmed vs event-replayed");
+        << "replay forked new cache entries";
+    expectIdenticalResults(warm, replay, "warmed vs replayed");
 }
 
-TEST(EngineDifferential, ClusterIdenticalAcrossEngines)
+TEST(EngineDifferential, ClusterMatchesGolden)
 {
-    // Several shards share one profiler: the engines must agree on
-    // every profile the dispatcher's placements ask for.
+    // Several shards share one profiler: every profile the
+    // dispatcher's placements ask for must match the record.
     Workload w;
     Golden g("cluster");
     for (unsigned chips : {3u, 4u}) {
         SCOPED_TRACE("chips " + std::to_string(chips));
-        ServingConfig tc = servingConfig(EngineKind::Ticked, 1, 0);
-        tc.chips = chips;
-        ServingConfig ec = servingConfig(EngineKind::Event, 1, 0);
-        ec.chips = chips;
+        ServingConfig cfg = servingConfig(1, 0);
+        cfg.chips = chips;
 
-        SimContext tctx, ectx;
-        auto tcl = w.cluster(std::move(tc));
-        auto ecl = w.cluster(std::move(ec));
-        tcl->attach(tctx);
-        ecl->attach(ectx);
-        ClusterResult t = tcl->run();
-        ClusterResult e = ecl->run();
-
-        expectIdenticalResults(t.aggregate, e.aggregate,
-                               "aggregate");
-        ASSERT_EQ(t.shards.size(), e.shards.size());
-        for (size_t i = 0; i < t.shards.size(); ++i) {
-            std::string label = "shard " + std::to_string(i);
-            expectIdenticalResults(t.shards[i], e.shards[i],
-                                   label.c_str());
-        }
-        EXPECT_EQ(tctx.statsToJson().dump(),
-                  ectx.statsToJson().dump());
+        SimContext ctx;
+        auto cl = w.cluster(std::move(cfg));
+        cl->attach(ctx);
+        ClusterResult e = cl->run();
 
         std::string k = "chips" + std::to_string(chips) + ".";
         putServing(g, k + "aggregate.", e.aggregate);
@@ -667,7 +575,7 @@ TEST(EngineDifferential, ClusterIdenticalAcrossEngines)
         for (size_t i = 0; i < e.shards.size(); ++i)
             putServing(g, k + "shard" + std::to_string(i) + ".",
                        e.shards[i]);
-        g.put(k + "registry", ectx.statsToJson().dump());
+        g.put(k + "registry", ctx.statsToJson().dump());
     }
     g.check();
 }
@@ -676,13 +584,12 @@ TEST(EngineDifferential, HostSecondsOptInOnly)
 {
     Workload w;
     SimContext ctx;
-    auto sim = w.simulator(servingConfig(EngineKind::Event, 1, 0));
+    auto sim = w.simulator(servingConfig(1, 0));
     sim->attachTo(ctx);
     sim->run();
 
-    // Default dump: no hostSeconds anywhere (the differential
-    // suites byte-compare these dumps; wall-clock would break
-    // them).
+    // Default dump: no hostSeconds anywhere (the golden records
+    // byte-compare these dumps; wall-clock would break them).
     std::string plain = ctx.statsToJson().dump();
     EXPECT_EQ(plain.find("hostSeconds"), std::string::npos);
 

@@ -4,9 +4,7 @@
  * (src/engine/event_queue.hh, DESIGN.md §15): the deterministic
  * (cycle, priority, sequence) ordering key, clock/pump semantics
  * (step/runUntil/drain/nextAt/now), self-scheduling handler
- * chains, the handler slab and registered payload handlers, and
- * the `--engine` selector parsing shared by the CLI and the
- * MAICC_ENGINE environment default.
+ * chains, and the handler slab and registered payload handlers.
  */
 
 #include <functional>
@@ -20,7 +18,6 @@
 
 #include "common/random.hh"
 #include "common/seeded_test.hh"
-#include "engine/engine_kind.hh"
 #include "engine/event_queue.hh"
 
 using namespace maicc;
@@ -313,22 +310,4 @@ TEST(EventQueue, SeededRunMatchesAMultimapReference)
         EXPECT_EQ(got.log, ref.log);
         EXPECT_EQ(eq.eventsRun(), kEvents);
     }
-}
-
-TEST(EngineKind, ParseAndName)
-{
-    EngineKind k = EngineKind::Ticked;
-    EXPECT_TRUE(parseEngine("event", k));
-    EXPECT_EQ(k, EngineKind::Event);
-    EXPECT_TRUE(parseEngine("ticked", k));
-    EXPECT_EQ(k, EngineKind::Ticked);
-    EXPECT_STREQ(engineName(EngineKind::Event), "event");
-    EXPECT_STREQ(engineName(EngineKind::Ticked), "ticked");
-
-    // Bad input: rejected, output untouched.
-    k = EngineKind::Event;
-    EXPECT_FALSE(parseEngine("tick", k));
-    EXPECT_FALSE(parseEngine("", k));
-    EXPECT_FALSE(parseEngine("EVENT", k));
-    EXPECT_EQ(k, EngineKind::Event);
 }
