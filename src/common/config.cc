@@ -36,13 +36,17 @@ class ObjectReader
 
     /**
      * Read an integer into @p out, rejecting values outside
-     * [lo, hi] — by default the range @p T can hold, so a negative
-     * count never wraps to a huge unsigned one.
+     * [lo, hi] — by default the range @p T can hold (clamped to
+     * what a JSON integer holds), so a negative count never wraps
+     * to a huge unsigned one.
      */
     template <typename T>
     void
-    integer(const char *key, T &out, int64_t lo = minOf<T>(),
-            int64_t hi = maxOf<T>())
+    integer(const char *key, T &out,
+            int64_t lo = int64_t(std::numeric_limits<T>::min()),
+            int64_t hi = int64_t(std::min<uint64_t>(
+                std::numeric_limits<T>::max(),
+                std::numeric_limits<int64_t>::max())))
     {
         const Json *v = get(key);
         if (!v)
@@ -159,24 +163,6 @@ class ObjectReader
     }
 
   private:
-    /** The range of @p T, clamped to what a JSON integer holds. */
-    template <typename T>
-    static constexpr int64_t
-    minOf()
-    {
-        return int64_t(std::numeric_limits<T>::min());
-    }
-
-    template <typename T>
-    static constexpr int64_t
-    maxOf()
-    {
-        return uint64_t(std::numeric_limits<T>::max())
-                > uint64_t(std::numeric_limits<int64_t>::max())
-            ? std::numeric_limits<int64_t>::max()
-            : int64_t(std::numeric_limits<T>::max());
-    }
-
     const Json *
     get(const char *key)
     {

@@ -9,8 +9,8 @@
  * that asserted both engines agreed, so they pin the
  * cycle-by-cycle semantics the skip-ahead code must keep. Covers:
  *
- *  - MeshNoc under seeded random traffic (dense and the sparse
- *    low-occupancy case where skip-ahead jumps dominate);
+ *  - MeshNoc under seeded random traffic (dense and sparse) and a
+ *    single flit crossing the mesh at zero load;
  *  - CoreTimingModel over seeded random RV32+CMem programs (the
  *    write-back port booking skips fully booked cycles);
  *  - ManyCoreDram: per-cycle polling drain vs the event-kernel
@@ -136,7 +136,6 @@ class Golden
     std::vector<std::string> lines;
 };
 
-
 /** Inject seeded traffic into @p noc and drain it; returns the
  * registry dump. */
 std::string
@@ -198,9 +197,11 @@ TEST(EngineDifferential, NocDenseRandomTraffic)
 
 TEST(EngineDifferential, NocSparseLowOccupancyTraffic)
 {
-    // A handful of long-haul packets: almost every drain cycle is
-    // idle, so the event engine spends its time in clock jumps —
-    // the case the skip-ahead math must get exactly right.
+    // A handful of long-haul packets. Each of these happens to keep
+    // a flit moving every cycle, so drain() never jumps here; the
+    // clock jumps are pinned by the dense case and by
+    // NocSingleFlitAcrossTheMesh (a jump landing one cycle late
+    // fails both).
     expectNocGolden("noc_sparse", 77, 3, 4);
 }
 
