@@ -9,12 +9,16 @@
  * that asserted both engines agreed, so they pin the
  * cycle-by-cycle semantics the skip-ahead code must keep. Covers:
  *
- *  - MeshNoc under seeded random traffic (dense and sparse) and a
- *    single flit crossing the mesh at zero load;
+ *  - MeshNoc under seeded random traffic (dense and sparse), a
+ *    single flit crossing the mesh at zero load, 5x3 and 20x13
+ *    meshes, a zero-cycle router pipeline and one-flit queues;
  *  - CoreTimingModel over seeded random RV32+CMem programs (the
- *    write-back port booking skips fully booked cycles);
+ *    write-back port booking skips fully booked cycles), also at
+ *    two write-back ports and with no CMem issue queue;
  *  - ManyCoreDram: per-cycle polling drain vs the event-kernel
- *    drainVia(), completion for completion, plus the record;
+ *    drainVia(), completion for completion, plus the record; deep
+ *    per-channel queues with accesses enqueued mid-run; two drains
+ *    on one event queue;
  *  - MaiccSystem end-to-end runs (streaming segment loop), also
  *    checked layer by layer against the reference executor;
  *  - serving and cluster runs at 1 and 8 host threads with the
@@ -142,14 +146,16 @@ std::string
 runNocTraffic(MeshNoc &noc, uint64_t seed, unsigned packets,
               unsigned waves)
 {
+    const unsigned nodes =
+        unsigned(noc.config().width * noc.config().height);
     Rng rng(seed);
     for (unsigned w = 0; w < waves; ++w) {
         for (unsigned i = 0; i < packets; ++i) {
             Packet p;
-            p.src = NodeId(rng.below(256));
-            p.dst = NodeId(rng.below(256));
+            p.src = NodeId(rng.below(nodes));
+            p.dst = NodeId(rng.below(nodes));
             if (p.dst == p.src)
-                p.dst = (p.src + 1) % 256;
+                p.dst = (p.src + 1) % nodes;
             p.sizeFlits = unsigned(1 + rng.below(9));
             p.tag = w * 1000 + i;
             noc.inject(p);
@@ -161,30 +167,38 @@ runNocTraffic(MeshNoc &noc, uint64_t seed, unsigned packets,
     return ctx.statsToJson().dump();
 }
 
+/** Record one traffic run on @p cfg under @p prefix into @p g. */
+void
+putNocRun(Golden &g, const std::string &prefix, const NocConfig &cfg,
+          uint64_t seed, unsigned packets, unsigned waves)
+{
+    MeshNoc noc(cfg);
+    std::string json = runNocTraffic(noc, seed, packets, waves);
+    const NodeId nodes = cfg.width * cfg.height;
+    // The same deliveries in the same per-node order...
+    for (NodeId n = 0; n < nodes; ++n) {
+        std::ostringstream tags;
+        tags << noc.delivered(n).size() << ":";
+        for (const Packet &p : noc.delivered(n))
+            tags << " " << p.tag;
+        g.put(prefix + "node" + std::to_string(n), tags.str());
+    }
+    g.put(prefix + "packetsDelivered", noc.packetsDelivered());
+    // ...the same latency arithmetic, bit for bit...
+    g.put(prefix + "avgPacketLatency", noc.avgPacketLatency());
+    // ...and the same registry dump (includes the cycle counter,
+    // so a skip-ahead jump landing on a wrong cycle fails here).
+    g.put(prefix + "registry", json);
+}
+
 void
 expectNocGolden(const char *case_name, uint64_t seed,
                 unsigned packets, unsigned waves)
 {
     SCOPED_TRACE("seed " + std::to_string(seed) + " packets "
                  + std::to_string(packets));
-    MeshNoc noc;
-    std::string json = runNocTraffic(noc, seed, packets, waves);
-
     Golden g(case_name);
-    // The same deliveries in the same per-node order...
-    for (NodeId n = 0; n < 256; ++n) {
-        std::ostringstream tags;
-        tags << noc.delivered(n).size() << ":";
-        for (const Packet &p : noc.delivered(n))
-            tags << " " << p.tag;
-        g.put("node" + std::to_string(n), tags.str());
-    }
-    g.put("packetsDelivered", noc.packetsDelivered());
-    // ...the same latency arithmetic, bit for bit...
-    g.put("avgPacketLatency", noc.avgPacketLatency());
-    // ...and the same registry dump (includes the cycle counter,
-    // so a skip-ahead jump landing on a wrong cycle fails here).
-    g.put("registry", json);
+    putNocRun(g, "", NocConfig{}, seed, packets, waves);
     g.check();
 }
 
@@ -222,6 +236,38 @@ TEST(EngineDifferential, NocSingleFlitAcrossTheMesh)
     g.check();
 }
 
+TEST(EngineDifferential, NocOddMeshShapes)
+{
+    // 15 and 260 routers: neither is a multiple of 64 and the
+    // second needs more than four 64-bit words of router ids.
+    Golden g("noc_mesh_shapes");
+    for (auto [w, h] : {std::pair{5, 3}, std::pair{20, 13}}) {
+        SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+        NocConfig cfg;
+        cfg.width = w;
+        cfg.height = h;
+        putNocRun(g, std::to_string(w) + "x" + std::to_string(h)
+                         + ".",
+                  cfg, 202, unsigned(w * h) * 3 / 2, 3);
+    }
+    g.check();
+}
+
+TEST(EngineDifferential, NocRouterCorners)
+{
+    // A zero-cycle router pipeline (every queued front is eligible
+    // on the next cycle) and single-flit input queues (every
+    // credit check is against a full or empty queue).
+    Golden g("noc_router_corners");
+    NocConfig fast;
+    fast.routerLatency = 0;
+    putNocRun(g, "latency0.", fast, 303, 300, 2);
+    NocConfig shallow;
+    shallow.queueDepth = 1;
+    putNocRun(g, "depth1.", shallow, 304, 300, 2);
+    g.check();
+}
+
 namespace
 {
 
@@ -241,12 +287,27 @@ struct NodeState
 };
 
 CoreRunStats
-runCore(const rv32::Program &prog)
+runCore(const rv32::Program &prog, const CoreConfig &cfg = {})
 {
     NodeState ns(prog);
-    CoreTimingModel model(prog, ns.nodeMem, &ns.cmem, &ns.rows,
-                          CoreConfig{});
+    CoreTimingModel model(prog, ns.nodeMem, &ns.cmem, &ns.rows, cfg);
     return model.run();
+}
+
+void
+putCoreStats(Golden &g, const std::string &k, const CoreRunStats &e)
+{
+    g.put(k + "cycles", e.cycles);
+    g.put(k + "insts", e.insts);
+    g.put(k + "cmemInsts", e.cmemInsts);
+    g.put(k + "cmemBusyCycles", e.cmemBusyCycles);
+    g.put(k + "stallRaw", e.stallRaw);
+    g.put(k + "stallWaw", e.stallWaw);
+    g.put(k + "stallQueueFull", e.stallQueueFull);
+    g.put(k + "stallStructural", e.stallStructural);
+    g.put(k + "branchPenaltyCycles", e.branchPenaltyCycles);
+    g.put(k + "localMemOps", e.localMemOps);
+    g.put(k + "remoteOps", e.remoteOps);
 }
 
 } // namespace
@@ -257,20 +318,31 @@ TEST(EngineDifferential, CoreTimingRandomPrograms)
     for (uint64_t seed = 1; seed <= 12; ++seed) {
         Rng rng(seed);
         rv32::Program prog = testgen::randomProgram(rng);
-        CoreRunStats e = runCore(prog);
+        putCoreStats(g, "seed" + std::to_string(seed) + ".",
+                     runCore(prog));
+    }
+    g.check();
+}
 
+TEST(EngineDifferential, CoreTimingRandomProgramVariants)
+{
+    // Two write-back ports (a booked cycle holds two results) and
+    // no CMem issue queue (ID blocks while the CMem is busy), on
+    // programs long enough to prune old write-back bookings.
+    Golden g("core_random_program_variants");
+    testgen::RandProgramOptions opt;
+    opt.units = 400;
+    CoreConfig two_ports;
+    two_ports.wbPorts = 2;
+    CoreConfig no_queue;
+    no_queue.cmemQueueSize = 0;
+    for (uint64_t seed = 21; seed <= 28; ++seed) {
+        Rng rng(seed);
+        rv32::Program prog = testgen::randomProgram(rng, opt);
         std::string k = "seed" + std::to_string(seed) + ".";
-        g.put(k + "cycles", e.cycles);
-        g.put(k + "insts", e.insts);
-        g.put(k + "cmemInsts", e.cmemInsts);
-        g.put(k + "cmemBusyCycles", e.cmemBusyCycles);
-        g.put(k + "stallRaw", e.stallRaw);
-        g.put(k + "stallWaw", e.stallWaw);
-        g.put(k + "stallQueueFull", e.stallQueueFull);
-        g.put(k + "stallStructural", e.stallStructural);
-        g.put(k + "branchPenaltyCycles", e.branchPenaltyCycles);
-        g.put(k + "localMemOps", e.localMemOps);
-        g.put(k + "remoteOps", e.remoteOps);
+        putCoreStats(g, k + "default.", runCore(prog));
+        putCoreStats(g, k + "wbPorts2.", runCore(prog, two_ports));
+        putCoreStats(g, k + "queue0.", runCore(prog, no_queue));
     }
     g.check();
 }
@@ -358,6 +430,141 @@ TEST(EngineDifferential, DramPollingDrainVsEventDrain)
         g.put(k + "activates", es.activates);
         g.put(k + "rowHits", es.rowHits);
         g.put(k + "busyCycles", es.busyCycles);
+    }
+    g.check();
+}
+
+namespace
+{
+
+/**
+ * A seeded address with row locality: three in four fall in a
+ * 256 KiB window (16 rows per bank), so FR-FCFS finds row hits deep
+ * inside its window instead of always issuing the oldest request.
+ */
+Addr
+localAddr(Rng &rng)
+{
+    if (rng.below(4) != 0)
+        return Addr(rng.below(1u << 12)) * 64;
+    return Addr(rng.below(1u << 26)) * 64;
+}
+
+void
+putCompletions(Golden &g, const std::string &k,
+               const std::vector<DramCompletion> &done)
+{
+    g.put(k + "completions", done.size());
+    for (size_t i = 0; i < done.size(); ++i)
+        g.put(k + "done" + std::to_string(i),
+              std::to_string(done[i].tag) + " "
+                  + std::to_string(done[i].finishedAt) + " "
+                  + std::to_string(int(done[i].write)));
+}
+
+void
+putDramStats(Golden &g, const std::string &k, const DramStats &s)
+{
+    g.put(k + "reads", s.reads);
+    g.put(k + "writes", s.writes);
+    g.put(k + "activates", s.activates);
+    g.put(k + "rowHits", s.rowHits);
+    g.put(k + "busyCycles", s.busyCycles);
+}
+
+} // namespace
+
+TEST(EngineDifferential, DramDeepQueuesAndLateEnqueues)
+{
+    // 300 accesses per channel: the 32-entry FR-FCFS window stays
+    // full for most of the run, and a tenth of the stream arrives
+    // while earlier requests are still being collected.
+    constexpr unsigned kChannels = 4;
+    constexpr unsigned kUpFront = 1080;
+    constexpr unsigned kTotal = 1200;
+    Golden g("dram_deep_queues");
+    for (uint64_t seed : {8u, 9u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::string k = "seed" + std::to_string(seed) + ".";
+
+        ManyCoreDram polled(kChannels);
+        Rng rng(seed);
+        unsigned tag = 0;
+        for (; tag < kUpFront; ++tag)
+            polled.enqueue(localAddr(rng), rng.below(2) != 0, tag, 0);
+        std::vector<DramCompletion> pdone;
+        Cycles c = 0;
+        while (!polled.idle() || tag < kTotal) {
+            ++c;
+            ASSERT_LT(c, Cycles(10'000'000)) << "polling runaway";
+            if (c % 97 == 0) {
+                for (unsigned i = 0; i < 12 && tag < kTotal;
+                     ++i, ++tag)
+                    polled.enqueue(localAddr(rng), rng.below(2) != 0,
+                                   tag, c);
+            }
+            polled.tick(c);
+            for (unsigned ch = 0; ch < kChannels; ++ch)
+                for (auto &d : polled.channel(ch).collect(c))
+                    pdone.push_back(d);
+        }
+        ASSERT_EQ(pdone.size(), size_t(kTotal));
+        putCompletions(g, k + "polled.", pdone);
+        putDramStats(g, k + "polled.", polled.totalStats());
+
+        // The up-front part alone through the event drain, checked
+        // against a polling drain of the same stream.
+        ManyCoreDram event(kChannels), again(kChannels);
+        Rng erng(seed), arng(seed);
+        for (unsigned i = 0; i < kUpFront; ++i) {
+            Addr a = localAddr(erng);
+            event.enqueue(a, erng.below(2) != 0, i, 0);
+            Addr b = localAddr(arng);
+            again.enqueue(b, arng.below(2) != 0, i, 0);
+        }
+        std::vector<DramCompletion> edone, adone;
+        EventQueue eq;
+        Cycles last = event.drainVia(eq, &edone);
+        for (Cycles t = 1; !again.idle(); ++t) {
+            again.tick(t);
+            for (unsigned ch = 0; ch < kChannels; ++ch)
+                for (auto &d : again.channel(ch).collect(t))
+                    adone.push_back(d);
+        }
+        EXPECT_EQ(asTriples(edone), asTriples(adone));
+        g.put(k + "event.last", last);
+        putCompletions(g, k + "event.", edone);
+        putDramStats(g, k + "event.", event.totalStats());
+    }
+    g.check();
+}
+
+TEST(EngineDifferential, DramTwoDrainsOnOneQueue)
+{
+    // Two systems drained one after the other on one kernel: the
+    // second drain sees the first one's clock and sequence numbers
+    // and must still complete exactly as on a fresh queue.
+    Golden g("dram_two_drains");
+    EventQueue shared;
+    for (uint64_t seed : {10u, 11u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        ManyCoreDram dram(8), fresh(8);
+        enqueueSeeded(dram, seed, 160);
+        enqueueSeeded(fresh, seed, 160);
+        std::vector<DramCompletion> done, fdone;
+        uint64_t before = shared.eventsRun();
+        Cycles last = dram.drainVia(shared, &done);
+        EventQueue own;
+        Cycles flast = fresh.drainVia(own, &fdone);
+        EXPECT_TRUE(shared.empty());
+        EXPECT_EQ(asTriples(done), asTriples(fdone));
+        EXPECT_EQ(last, flast);
+        EXPECT_EQ(shared.eventsRun() - before, own.eventsRun());
+
+        std::string k = "seed" + std::to_string(seed) + ".";
+        g.put(k + "last", last);
+        g.put(k + "events", own.eventsRun());
+        putCompletions(g, k, done);
     }
     g.check();
 }
