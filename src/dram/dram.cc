@@ -1,7 +1,6 @@
 #include "dram/dram.hh"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/logging.hh"
 #include "engine/event_queue.hh"
@@ -10,44 +9,53 @@
 namespace maicc
 {
 
+namespace
+{
+
+/** Drop the consumed entries before @p head once they are at
+ * least half of @p v. */
+template <typename T>
+void
+compact(std::vector<T> &v, size_t &head)
+{
+    if (head * 2 < v.size())
+        return;
+    v.erase(v.begin(), v.begin() + head);
+    head = 0;
+}
+
+} // namespace
+
 DramChannel::DramChannel(const DramConfig &config)
     : SimComponent("dram_channel"), cfg(config), banks(config.numBanks)
 {
-    maicc_assert(cfg.numBanks >= 1);
-}
-
-unsigned
-DramChannel::bankOf(Addr addr) const
-{
-    // Channel striping already consumed low block bits; interleave
-    // banks on the next bits above the row offset.
-    return (addr / cfg.rowBytes) % cfg.numBanks;
-}
-
-uint64_t
-DramChannel::rowOf(Addr addr) const
-{
-    return addr / (cfg.rowBytes * cfg.numBanks);
+    maicc_assert(cfg.numBanks >= 1 && cfg.rowBytes >= 1);
+    // A zero burst would let two accesses finish on one cycle, and
+    // the completion FIFO relies on strictly rising finish times.
+    maicc_assert(cfg.burst >= 1);
 }
 
 void
 DramChannel::enqueue(Addr addr, bool write, uint64_t tag, Cycles now)
 {
-    queue.push_back({addr, write, tag, now});
+    // Channel striping already consumed low block bits; interleave
+    // banks on the next bits above the row offset.
+    Addr row_index = addr / cfg.rowBytes;
+    queue.push_back({row_index / cfg.numBanks, tag, now,
+                     unsigned(row_index % cfg.numBanks), write});
     tick(now);
 }
 
 Cycles
-DramChannel::service(const Request &req, Cycles now)
+DramChannel::service(const Request &req)
 {
-    Bank &bank = banks[bankOf(req.addr)];
-    uint64_t row = rowOf(req.addr);
+    Bank &bank = banks[req.bank];
     // Bank preparation (precharge/activate/CAS) overlaps with other
     // banks' bus transfers; only the data burst occupies the bus.
-    Cycles start = std::max(now, bank.readyAt);
+    Cycles start = std::max(req.arrival, bank.readyAt);
 
     Cycles data_ready;
-    if (bank.open && bank.openRow == row) {
+    if (bank.open && bank.openRow == req.row) {
         ++st.rowHits;
         data_ready = start + cfg.tCAS;
     } else if (!bank.open) {
@@ -64,7 +72,7 @@ DramChannel::service(const Request &req, Cycles now)
     }
     Cycles access_done = std::max(data_ready, busFreeAt) + cfg.burst;
     bank.open = true;
-    bank.openRow = row;
+    bank.openRow = req.row;
     bank.readyAt = access_done;
     busFreeAt = access_done;
     st.busyCycles += cfg.burst;
@@ -82,63 +90,63 @@ DramChannel::tick(Cycles now)
     // FR-FCFS: among queued requests, prefer the oldest row hit;
     // otherwise the oldest request. Issue as long as the data bus
     // can start work at or before `now`.
-    while (!queue.empty() && busFreeAt <= lastTick) {
-        size_t pick = 0;
-        bool found_hit = false;
+    while (queueHead < queue.size() && busFreeAt <= lastTick) {
         // The scheduler considers a bounded reorder window, like a
         // real controller's transaction queue.
-        size_t window = std::min<size_t>(queue.size(), 32);
-        for (size_t i = 0; i < window; ++i) {
-            const Bank &b = banks[bankOf(queue[i].addr)];
-            if (b.open && b.openRow == rowOf(queue[i].addr)) {
+        size_t end = std::min<size_t>(queue.size(), queueHead + 32);
+        size_t pick = queueHead;
+        for (size_t i = queueHead; i < end; ++i) {
+            const Bank &b = banks[queue[i].bank];
+            if (b.open && b.openRow == queue[i].row) {
                 pick = i;
-                found_hit = true;
                 break;
             }
         }
-        if (!found_hit)
-            pick = 0;
         Request req = queue[pick];
-        queue.erase(queue.begin() + pick);
-        Cycles fin = service(req, req.arrival);
-        done.push_back({req.tag, fin, req.write});
+        // Close the gap by moving the older entries up one slot.
+        std::move_backward(queue.begin() + queueHead,
+                           queue.begin() + pick,
+                           queue.begin() + pick + 1);
+        ++queueHead;
+        done.push_back({req.tag, service(req), req.write});
     }
+    compact(queue, queueHead);
+}
+
+void
+DramChannel::collect(Cycles now, std::vector<DramCompletion> &out)
+{
+    tick(now);
+    size_t end = doneHead;
+    while (end < done.size() && done[end].finishedAt <= now)
+        ++end;
+    out.insert(out.end(), done.begin() + doneHead,
+               done.begin() + end);
+    doneHead = end;
+    compact(done, doneHead);
 }
 
 std::vector<DramCompletion>
 DramChannel::collect(Cycles now)
 {
-    tick(now);
     std::vector<DramCompletion> out;
-    auto it = done.begin();
-    while (it != done.end()) {
-        if (it->finishedAt <= now) {
-            out.push_back(*it);
-            it = done.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const DramCompletion &a, const DramCompletion &b) {
-                  return a.finishedAt < b.finishedAt;
-              });
+    collect(now, out);
     return out;
 }
 
 bool
 DramChannel::idle() const
 {
-    return queue.empty() && done.empty();
+    return queueHead == queue.size() && doneHead == done.size();
 }
 
 Cycles
 DramChannel::nextEventAt() const
 {
     Cycles t = ~Cycles(0);
-    for (const auto &c : done)
-        t = std::min(t, c.finishedAt);
-    if (!queue.empty())
+    if (doneHead < done.size())
+        t = done[doneHead].finishedAt;
+    if (queueHead < queue.size())
         t = std::min(t, busFreeAt);
     return t;
 }
@@ -148,7 +156,9 @@ DramChannel::reset()
 {
     banks.assign(cfg.numBanks, Bank{});
     queue.clear();
+    queueHead = 0;
     done.clear();
+    doneHead = 0;
     busFreeAt = 0;
     lastTick = 0;
     st = DramStats{};
@@ -232,34 +242,34 @@ ManyCoreDram::drainVia(EventQueue &eq,
     ScopedHostTimer host_timer(*this);
     constexpr Cycles never = ~Cycles(0);
     Cycles last = 0;
-    // Per-channel wake-up chain: each handler services exactly the
-    // work that becomes actionable at its cycle, then re-arms at
-    // the channel's next event. Priority = channel index keeps
-    // same-cycle collections in ascending channel order — the same
-    // order a per-cycle polling sweep would observe them in.
-    std::function<void(unsigned, Cycles)> arm =
-        [&](unsigned i, Cycles when) {
-            eq.schedule(when, int(i), [&, i](Cycles now) {
-                DramChannel &c = *chans[i];
-                std::vector<DramCompletion> fin = c.collect(now);
-                if (!fin.empty()) {
-                    last = std::max(last, fin.back().finishedAt);
-                    if (out) {
-                        out->insert(out->end(), fin.begin(),
-                                    fin.end());
-                    }
-                }
-                Cycles next = c.nextEventAt();
-                if (next != never)
-                    arm(i, next);
-            });
-        };
+    std::vector<DramCompletion> scratch;
+    std::vector<DramCompletion> &fin = out ? *out : scratch;
+    // One wake-up handler for every channel (payload = channel
+    // index): it services exactly the work that becomes actionable
+    // at its cycle, then re-arms at the channel's next event.
+    // Priority = channel index keeps same-cycle collections in
+    // ascending channel order — the same order a per-cycle polling
+    // sweep would observe them in.
+    EventQueue::HandlerId wake = 0;
+    wake = eq.addHandler([&](Cycles now, uint64_t i) {
+        DramChannel &c = *chans[i];
+        size_t before = fin.size();
+        c.collect(now, fin);
+        if (fin.size() > before)
+            last = std::max(last, fin.back().finishedAt);
+        if (!out)
+            scratch.clear();
+        Cycles next = c.nextEventAt();
+        if (next != never)
+            eq.schedule(next, int(i), wake, i);
+    });
     for (unsigned i = 0; i < chans.size(); ++i) {
         Cycles next = chans[i]->nextEventAt();
         if (next != never)
-            arm(i, next);
+            eq.schedule(next, int(i), wake, i);
     }
     eq.drain();
+    eq.removeHandler(wake);
     return last;
 }
 

@@ -17,7 +17,6 @@
 #define MAICC_DRAM_DRAM_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -75,7 +74,13 @@ class DramChannel : public SimComponent
      */
     void tick(Cycles now);
 
-    /** Completions whose finish time is <= @p now (sorted). */
+    /**
+     * Append the completions whose finish time is <= @p now to
+     * @p out, in finish order, and drop them from the channel.
+     */
+    void collect(Cycles now, std::vector<DramCompletion> &out);
+
+    /** The same, returned as a new vector. */
     std::vector<DramCompletion> collect(Cycles now);
 
     /** True when no requests are queued or in flight. */
@@ -94,12 +99,14 @@ class DramChannel : public SimComponent
     const DramConfig &config() const { return cfg; }
 
   private:
+    /** A queued access, its bank and row resolved at enqueue. */
     struct Request
     {
-        Addr addr;
-        bool write;
+        uint64_t row;
         uint64_t tag;
         Cycles arrival;
+        unsigned bank;
+        bool write;
     };
 
     struct Bank
@@ -110,16 +117,27 @@ class DramChannel : public SimComponent
         Cycles activatedAt = 0; ///< for tRAS
     };
 
-    unsigned bankOf(Addr addr) const;
-    uint64_t rowOf(Addr addr) const;
-
-    /** Service one request starting no earlier than @p now. */
-    Cycles service(const Request &req, Cycles now);
+    /** Service one request starting no earlier than its arrival;
+     * @return its finish cycle. */
+    Cycles service(const Request &req);
 
     DramConfig cfg;
     std::vector<Bank> banks;
-    std::deque<Request> queue;
+    /**
+     * Pending requests in arrival order from queueHead on. Issued
+     * entries before queueHead are dropped in one move once they
+     * are half the vector.
+     */
+    std::vector<Request> queue;
+    size_t queueHead = 0;
+    /**
+     * Issued requests from doneHead on. Their finish times rise
+     * strictly in issue order (each one ends at least a burst after
+     * the previous one on the shared data bus), so the finished
+     * ones are always a prefix: a FIFO, compacted like the queue.
+     */
     std::vector<DramCompletion> done;
+    size_t doneHead = 0;
     Cycles busFreeAt = 0;
     Cycles lastTick = 0;
     DramStats st;
@@ -160,8 +178,11 @@ class ManyCoreDram : public SimComponent
      * on @p eq at its own nextEventAt() (priority = channel index,
      * so same-cycle completions collect in ascending channel
      * order, exactly like a per-cycle polling sweep), collects its
-     * finished requests, and re-arms until idle. Completions are
-     * appended to @p out when given, in (cycle, channel) order.
+     * finished requests, and re-arms until idle. All wake-ups go
+     * to one payload handler (payload = channel index), which is
+     * registered on @p eq for this call only and removed before it
+     * returns. Completions are appended to @p out when given, in
+     * (cycle, channel) order.
      * @return the last completion cycle (0 when nothing drained).
      */
     Cycles drainVia(EventQueue &eq,

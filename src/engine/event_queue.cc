@@ -34,9 +34,27 @@ EventQueue::schedule(Cycles when, int priority, Handler fn)
 EventQueue::HandlerId
 EventQueue::addHandler(PayloadHandler fn)
 {
+    if (!freeHandlers.empty()) {
+        HandlerId h = freeHandlers.back();
+        freeHandlers.pop_back();
+        handlers[h] = std::move(fn);
+        return h;
+    }
     maicc_assert(handlers.size() < kPersistent);
     handlers.push_back(std::move(fn));
     return HandlerId(handlers.size() - 1);
+}
+
+void
+EventQueue::removeHandler(HandlerId h)
+{
+    maicc_assert(h < handlers.size() && handlers[h]);
+    maicc_assert(std::none_of(heap.begin(), heap.end(),
+                              [h](const Key &k) {
+                                  return k.ref == (h | kPersistent);
+                              }));
+    handlers[h] = nullptr;
+    freeHandlers.push_back(h);
 }
 
 bool

@@ -74,9 +74,16 @@ class EventQueue
 
     /**
      * Register @p fn for payload events; it lives as long as the
-     * queue (clear() keeps it).
+     * queue (clear() keeps it) or until removeHandler().
      */
     HandlerId addHandler(PayloadHandler fn);
+
+    /**
+     * Unregister @p h, for a handler whose captures die before the
+     * queue does; a later addHandler() may reuse its id. No event
+     * may still be scheduled on it, and it must not be running.
+     */
+    void removeHandler(HandlerId h);
 
     /**
      * Schedule handler @p h with @p payload at cycle @p when; the
@@ -159,6 +166,7 @@ class EventQueue
     std::vector<Handler> slab;
     std::vector<uint32_t> freeSlots;
     std::deque<PayloadHandler> handlers; ///< stable addresses
+    std::vector<HandlerId> freeHandlers; ///< removed, reusable ids
     uint64_t nextSeq = 0;
     uint64_t executed = 0;
     Cycles current = 0;

@@ -1,6 +1,10 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "dram/dram.hh"
+#include "engine/event_queue.hh"
 #include "mem/address_map.hh"
 
 using namespace maicc;
@@ -134,4 +138,91 @@ TEST(ManyCoreDram, ChannelsServeInParallel)
     EXPECT_LT(multi_end * 4, single_end);
     auto total = dram.totalStats();
     EXPECT_EQ(total.reads, 64u);
+}
+
+TEST(DramChannel, CollectReturnsOnlyFinishedPrefixInOrder)
+{
+    // Completions leave in finish order, and a collect before the
+    // next finish time returns nothing and keeps the rest.
+    DramConfig cfg;
+    DramChannel ch(cfg);
+    for (unsigned i = 0; i < 40; ++i)
+        ch.enqueue((i % 5) * cfg.rowBytes * cfg.numBanks + i * 64,
+                   i % 3 == 0, i, 0);
+    std::vector<DramCompletion> all;
+    Cycles prev = 0;
+    for (Cycles t = 0; !ch.idle(); t += 7) {
+        Cycles next = ch.nextEventAt();
+        size_t before = all.size();
+        ch.collect(t, all);
+        EXPECT_EQ(all.size() > before, next <= t);
+        for (size_t i = before; i < all.size(); ++i) {
+            EXPECT_LT(prev, all[i].finishedAt);
+            EXPECT_LE(all[i].finishedAt, t);
+            prev = all[i].finishedAt;
+        }
+    }
+    EXPECT_EQ(all.size(), 40u);
+}
+
+namespace
+{
+
+std::vector<DramCompletion>
+drainSeeded(EventQueue &eq, uint64_t seed, Cycles &last)
+{
+    ManyCoreDram dram(8);
+    Rng rng(seed);
+    for (unsigned i = 0; i < 120; ++i)
+        dram.enqueue(Addr(rng.below(1u << 20)) * 64, rng.below(4) == 0,
+                     i, 0);
+    std::vector<DramCompletion> done;
+    last = dram.drainVia(eq, &done);
+    return done;
+}
+
+bool
+sameCompletions(const std::vector<DramCompletion> &a,
+                const std::vector<DramCompletion> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const DramCompletion &x,
+                         const DramCompletion &y) {
+                          return x.tag == y.tag
+                              && x.finishedAt == y.finishedAt
+                              && x.write == y.write;
+                      });
+}
+
+} // namespace
+
+TEST(ManyCoreDram, TwoDrainsOnOneQueueMatchFreshQueues)
+{
+    // Each drain's ManyCoreDram and completion vector die when
+    // drainSeeded() returns, so an event left scheduled would fire
+    // into freed memory in the next drain (caught under ASan) or
+    // add to its event count.
+    EventQueue shared;
+    for (uint64_t seed : {1u, 2u}) {
+        SCOPED_TRACE(seed);
+        uint64_t before = shared.eventsRun();
+        Cycles last = 0, fresh_last = 0;
+        auto done = drainSeeded(shared, seed, last);
+        EXPECT_TRUE(shared.empty());
+        EventQueue own;
+        auto fresh = drainSeeded(own, seed, fresh_last);
+        EXPECT_EQ(done.size(), 120u);
+        EXPECT_TRUE(sameCompletions(done, fresh));
+        EXPECT_EQ(last, fresh_last);
+        EXPECT_EQ(shared.eventsRun() - before, own.eventsRun());
+    }
+    // Both drains unregistered their handler, so the next
+    // registration gets the first id back...
+    EXPECT_EQ(shared.addHandler([](Cycles, uint64_t) {}), 0u);
+    // ...and nothing of either drain fires afterwards: the next
+    // event run on the shared queue is the one scheduled here.
+    int fired = 0;
+    shared.schedule(shared.now() + 1, 0, [&](Cycles) { ++fired; });
+    EXPECT_EQ(shared.drain(), 1u);
+    EXPECT_EQ(fired, 1);
 }

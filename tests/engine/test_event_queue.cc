@@ -311,3 +311,31 @@ TEST(EventQueue, SeededRunMatchesAMultimapReference)
         EXPECT_EQ(eq.eventsRun(), kEvents);
     }
 }
+
+TEST(EventQueue, RemovedHandlerIdIsReused)
+{
+    // A removed handler's id goes to the next registration, which
+    // then receives the payload events scheduled on that id.
+    EventQueue eq;
+    std::vector<std::string> order;
+    EventQueue::HandlerId a = eq.addHandler([&](Cycles, uint64_t p) {
+        order.push_back("a" + std::to_string(p));
+    });
+    EventQueue::HandlerId keep =
+        eq.addHandler([&](Cycles, uint64_t p) {
+            order.push_back("keep" + std::to_string(p));
+        });
+    eq.schedule(1, 0, a, 1);
+    eq.drain();
+    eq.removeHandler(a);
+    EventQueue::HandlerId b = eq.addHandler([&](Cycles, uint64_t p) {
+        order.push_back("b" + std::to_string(p));
+    });
+    EXPECT_EQ(b, a);
+    EXPECT_NE(b, keep);
+    eq.schedule(2, 0, b, 2);
+    eq.schedule(3, 0, keep, 3);
+    eq.drain();
+    EXPECT_EQ(order,
+              (std::vector<std::string>{"a1", "b2", "keep3"}));
+}
