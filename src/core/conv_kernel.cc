@@ -3,6 +3,7 @@
 #include "common/logging.hh"
 #include "mem/address_map.hh"
 #include "rv32/encoding.hh"
+#include "sram/transpose.hh"
 
 namespace maicc
 {
@@ -192,13 +193,11 @@ stageConvNode(const ConvNodeWorkload &w, CMem &cmem, RowStore &rows,
     // Transposed ifmap rows, one Row256 per (x, y, bit).
     for (unsigned x = 0; x < w.H; ++x) {
         for (unsigned y = 0; y < w.W; ++y) {
+            std::span<const int8_t> pixel(
+                ifmap.data() + size_t(x * w.W + y) * w.C, w.C);
             for (unsigned bit = 0; bit < w.nBits; ++bit) {
                 Row256 row;
-                for (unsigned c = 0; c < w.C; ++c) {
-                    uint8_t v = static_cast<uint8_t>(
-                        ifmap[(x * w.W + y) * w.C + c]);
-                    row.set(c, (v >> bit) & 1);
-                }
+                setBitPlane(row, 0, pixel, bit);
                 rows.storeRow(convRowAddr(w, x, y, bit), row);
             }
         }

@@ -34,6 +34,7 @@ CoreTimingModel::reset()
     std::fill(sliceDataReady.begin(), sliceDataReady.end(),
               Cycles(0));
     wbBookings.clear();
+    wbHead = 0;
     cmemDispatch.clear();
     lastCMemDispatch = 0;
     divFree = 0;
@@ -67,23 +68,25 @@ CoreTimingModel::recordStats()
 Cycles
 CoreTimingModel::bookWbPort(Cycles ready)
 {
-    // The booking map is sparse — any cycle without an entry is
-    // free — so walk the ordered entries from `ready` and stop at
+    // The bookings are sparse — any cycle without an entry is
+    // free — so walk the sorted entries from `ready` and stop at
     // the first gap or not-fully-booked entry: the first cycle
     // >= ready with bookings < wbPorts, found without probing the
     // fully-booked cycles in between one at a time.
     Cycles slot = ready;
-    auto it = wbBookings.lower_bound(ready);
-    while (it != wbBookings.end() && it->first == slot
-           && it->second >= cfg.wbPorts) {
+    auto it = std::lower_bound(
+        wbBookings.begin() + wbHead, wbBookings.end(), ready,
+        [](const WbBooking &b, Cycles c) { return b.cycle < c; });
+    while (it != wbBookings.end() && it->cycle == slot
+           && it->count >= cfg.wbPorts) {
         ++slot;
         ++it;
     }
-    if (it != wbBookings.end() && it->first == slot) {
-        ++it->second;
+    if (it != wbBookings.end() && it->cycle == slot) {
+        ++it->count;
         return slot;
     }
-    wbBookings.emplace_hint(it, slot, 1);
+    wbBookings.insert(it, {slot, 1});
     return slot;
 }
 
@@ -105,9 +108,13 @@ CoreTimingModel::run(uint64_t max_insts)
 
         // Bookings older than the in-order issue front can never be
         // contended again; prune to bound memory on long runs.
-        while (!wbBookings.empty()
-               && wbBookings.begin()->first + 4 < fetchReady) {
-            wbBookings.erase(wbBookings.begin());
+        while (wbHead < wbBookings.size()
+               && wbBookings[wbHead].cycle + 4 < fetchReady)
+            ++wbHead;
+        if (wbHead * 2 >= wbBookings.size()) {
+            wbBookings.erase(wbBookings.begin(),
+                             wbBookings.begin() + wbHead);
+            wbHead = 0;
         }
 
         // Operand values before architectural execution: with

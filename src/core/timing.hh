@@ -36,7 +36,6 @@
 #define MAICC_CORE_TIMING_HH
 
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "common/sim_component.hh"
@@ -96,12 +95,21 @@ class CoreTimingModel : public SimComponent
      * compute op on the slice waits for the data.
      */
     std::vector<Cycles> sliceDataReady;
+    /** Results booked on one write-back cycle. */
+    struct WbBooking
+    {
+        Cycles cycle;
+        unsigned count;
+    };
     /**
-     * Write-back port occupancy per cycle. Ports are arbitrated at
-     * completion time (not issue time), so a long-latency CMem
-     * result does not block earlier-completing ALU write-backs.
+     * Write-back port occupancy per cycle, sorted by cycle from
+     * wbHead on; a cycle without an entry is free. Ports are
+     * arbitrated at completion time (not issue time), so a
+     * long-latency CMem result does not block earlier-completing
+     * ALU write-backs.
      */
-    std::map<Cycles, unsigned> wbBookings;
+    std::vector<WbBooking> wbBookings;
+    size_t wbHead = 0; ///< first booking not yet pruned
     std::deque<Cycles> cmemDispatch;  ///< recent CMem dispatch times
     Cycles lastCMemDispatch = 0;
     Cycles divFree = 0;

@@ -13,10 +13,7 @@ writeTransposed(SramArray &array, unsigned base_row, unsigned n,
     maicc_assert(base_row + n <= array.rows());
     for (unsigned bit = 0; bit < n; ++bit) {
         Row256 row = array.readRow(base_row + bit);
-        for (size_t k = 0; k < values.size(); ++k) {
-            bool b = (static_cast<uint32_t>(values[k]) >> bit) & 1;
-            row.set(base_col + k, b);
-        }
+        setBitPlane(row, base_col, values, bit);
         array.writeRow(base_row + bit, row);
     }
 }
