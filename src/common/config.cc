@@ -224,10 +224,12 @@ fromJson(const Json &j, NocConfig &out, std::string *err,
          const std::string &path)
 {
     ObjectReader r(j, path, err);
-    r.integer("width", out.width);
-    r.integer("height", out.height);
+    r.integer("width", out.width, 1);
+    r.integer("height", out.height, 1);
     r.integer("routerLatency", out.routerLatency);
-    r.integer("queueDepth", out.queueDepth);
+    // MeshNoc preallocates routers x 5 x queueDepth ring slots.
+    r.integer("queueDepth", out.queueDepth, 1,
+              MeshNoc::kMaxQueueDepth);
     return r.finish();
 }
 
@@ -251,14 +253,16 @@ fromJson(const Json &j, DramConfig &out, std::string *err,
          const std::string &path)
 {
     ObjectReader r(j, path, err);
-    r.integer("numBanks", out.numBanks);
-    r.integer("rowBytes", out.rowBytes);
-    r.integer("accessBytes", out.accessBytes);
+    // Divisors: a zero here would divide by zero in the channel
+    // model or in SystemConfig::filterLoadBytesPerCycle().
+    r.integer("numBanks", out.numBanks, 1);
+    r.integer("rowBytes", out.rowBytes, 1);
+    r.integer("accessBytes", out.accessBytes, 1);
     r.integer("tRCD", out.tRCD);
     r.integer("tCAS", out.tCAS);
     r.integer("tRP", out.tRP);
     r.integer("tRAS", out.tRAS);
-    r.integer("burst", out.burst);
+    r.integer("burst", out.burst, 1);
     return r.finish();
 }
 
@@ -337,7 +341,7 @@ fromJson(const Json &j, SystemConfig &out, std::string *err,
     ObjectReader r(j, path, err);
     int64_t budget = out.coreBudget; // range-checked below
     r.integer("coreBudget", budget);
-    r.integer("dramChannels", out.dramChannels);
+    r.integer("dramChannels", out.dramChannels, 1);
     r.number("clockHz", out.clockHz);
     r.integer("numThreads", out.numThreads, 0,
               SystemConfig::kMaxNumThreads);

@@ -445,16 +445,15 @@ TEST(Config, NegativeCountsAreRangeErrorsNotWraps)
          "system.numThreads: expected an integer in [0, 64]"},
         {"{\"system\": {\"dramChannels\": -3}}",
          "system.dramChannels: expected an integer in "
-         "[0, 4294967295]"},
+         "[1, 4294967295]"},
         {"{\"system\": {\"simCacheEntries\": -1}}",
          "system.simCacheEntries: expected an integer in "
          "[0, 4294967295]"},
         {"{\"system\": {\"noc\": {\"queueDepth\": -1}}}",
-         "system.noc.queueDepth: expected an integer in "
-         "[0, 4294967295]"},
+         "system.noc.queueDepth: expected an integer in [1, 64]"},
         {"{\"system\": {\"dramChannels\": 4294967296}}",
          "system.dramChannels: expected an integer in "
-         "[0, 4294967295]"},
+         "[1, 4294967295]"},
     };
     for (const auto &[text, want] : cases) {
         SimConfig cfg;
@@ -462,6 +461,64 @@ TEST(Config, NegativeCountsAreRangeErrorsNotWraps)
         EXPECT_EQ(loadError(text, cfg), want) << text;
         EXPECT_EQ(cfg.system.numThreads, threads) << text;
     }
+}
+
+TEST(Config, ZeroSizesAndDivisorsAreRangeErrors)
+{
+    // A zero DRAM burst, access size or channel count used to load
+    // and make filterLoadBytesPerCycle() infinite, which the
+    // segment loop then converted to an integer cycle count (UB);
+    // the others divide by zero or size empty meshes and rings.
+    const std::pair<const char *, const char *> cases[] = {
+        {"{\"system\": {\"dramChannels\": 0}}",
+         "system.dramChannels: expected an integer in "
+         "[1, 4294967295]"},
+        {"{\"system\": {\"dram\": {\"burst\": 0}}}",
+         "system.dram.burst: expected an integer in "
+         "[1, 9223372036854775807]"},
+        {"{\"system\": {\"dram\": {\"accessBytes\": 0}}}",
+         "system.dram.accessBytes: expected an integer in "
+         "[1, 4294967295]"},
+        {"{\"system\": {\"dram\": {\"numBanks\": 0}}}",
+         "system.dram.numBanks: expected an integer in "
+         "[1, 4294967295]"},
+        {"{\"system\": {\"dram\": {\"rowBytes\": 0}}}",
+         "system.dram.rowBytes: expected an integer in "
+         "[1, 4294967295]"},
+        {"{\"system\": {\"noc\": {\"width\": 0}}}",
+         "system.noc.width: expected an integer in "
+         "[1, 2147483647]"},
+        {"{\"system\": {\"noc\": {\"height\": -2}}}",
+         "system.noc.height: expected an integer in "
+         "[1, 2147483647]"},
+        {"{\"system\": {\"noc\": {\"queueDepth\": 0}}}",
+         "system.noc.queueDepth: expected an integer in [1, 64]"},
+        {"{\"system\": {\"noc\": {\"queueDepth\": 65}}}",
+         "system.noc.queueDepth: expected an integer in [1, 64]"},
+    };
+    for (const auto &[text, want] : cases) {
+        SimConfig cfg;
+        EXPECT_EQ(loadError(text, cfg), want) << text;
+    }
+}
+
+TEST(Config, SizeRangeEndsAreAccepted)
+{
+    SimConfig cfg;
+    EXPECT_EQ(loadError("{\"system\": {\"dramChannels\": 1,"
+                        " \"dram\": {\"burst\": 1, \"accessBytes\": 1,"
+                        " \"numBanks\": 1, \"rowBytes\": 1},"
+                        " \"noc\": {\"width\": 1, \"height\": 1,"
+                        " \"queueDepth\": 1}}}",
+                        cfg),
+              "");
+    EXPECT_EQ(cfg.system.dram.burst, Cycles(1));
+    EXPECT_EQ(cfg.system.noc.queueDepth, 1u);
+    EXPECT_EQ(loadError("{\"system\": {\"noc\":"
+                        " {\"queueDepth\": 64}}}",
+                        cfg),
+              "");
+    EXPECT_EQ(cfg.system.noc.queueDepth, 64u);
 }
 
 TEST(Config, MoreThanSixtyFourThreadsIsAnErrorWithTheRange)
