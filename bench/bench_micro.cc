@@ -100,11 +100,15 @@ BM_DramChannel(benchmark::State &state)
     Rng rng(4);
     uint64_t tag = 0;
     Cycles now = 0;
+    std::vector<DramCompletion> done;
     for (auto _ : state) {
         ch.enqueue(static_cast<Addr>(rng.below(1 << 26)) * 64,
                    false, tag++, now);
         now += 8;
-        benchmark::DoNotOptimize(ch.collect(now));
+        done.clear();
+        ch.collect(now, done);
+        benchmark::DoNotOptimize(done.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations());
 }

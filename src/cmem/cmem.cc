@@ -1,11 +1,99 @@
 #include "cmem/cmem.hh"
 
+#include <bit>
+
 #include "common/bitfield.hh"
 #include "common/logging.hh"
 #include "sram/transpose.hh"
 
+#if defined(__x86_64__) || defined(__i386__)
+#define MAICC_HAVE_POPCNT_BODY 1
+#endif
+
 namespace maicc
 {
+
+namespace
+{
+
+/**
+ * The n x n loop of a MAC, written once. It is always inlined, so
+ * each body compiles it for its own target: the popcount of a row
+ * becomes four POPCNT instructions in the target("popcnt") body and
+ * four libgcc calls in the portable one (baseline x86-64).
+ *
+ * Res is accumulated in uint64_t, which wraps: two's-complement
+ * addition is the same modulo 2^64 in any order, so the result is
+ * the dot product modulo 2^64 with no overflow for n up to 32.
+ */
+[[gnu::always_inline]] inline uint64_t
+macLoop(const Row256 *a, const Row256 *b, unsigned n, bool is_signed,
+        const Row256 &enabled)
+{
+    uint64_t res = 0;
+    for (unsigned i = 0; i < n; ++i) {
+        const Row256 ai = a[i] & enabled;
+        for (unsigned j = 0; j < n; ++j) {
+            // The adder tree: enabled bit-lines where both rows hold 1.
+            const Row256 &bj = b[j];
+            unsigned psum = std::popcount(ai.w[0] & bj.w[0])
+                + std::popcount(ai.w[1] & bj.w[1])
+                + std::popcount(ai.w[2] & bj.w[2])
+                + std::popcount(ai.w[3] & bj.w[3]);
+            uint64_t term = uint64_t(psum) << (i + j);
+            // Two's complement: the top bit-row of each operand
+            // carries weight -2^(n-1); the product term's sign is
+            // the product of the operand-row signs.
+            bool negative = is_signed && ((i == n - 1) != (j == n - 1));
+            res += negative ? 0 - term : term;
+        }
+    }
+    return res;
+}
+
+#ifdef MAICC_HAVE_POPCNT_BODY
+__attribute__((target("popcnt"))) uint64_t
+macBodyPopcntImpl(const Row256 *a, const Row256 *b, unsigned n,
+                  bool is_signed, const Row256 &enabled)
+{
+    return macLoop(a, b, n, is_signed, enabled);
+}
+#endif
+
+} // namespace
+
+uint64_t
+macBodyPortable(const Row256 *a, const Row256 *b, unsigned n,
+                bool is_signed, const Row256 &enabled)
+{
+    return macLoop(a, b, n, is_signed, enabled);
+}
+
+#ifdef MAICC_HAVE_POPCNT_BODY
+const MacBodyFn macBodyPopcnt = macBodyPopcntImpl;
+
+bool
+cpuHasPopcnt()
+{
+    return __builtin_cpu_supports("popcnt");
+}
+#else
+const MacBodyFn macBodyPopcnt = nullptr;
+
+bool
+cpuHasPopcnt()
+{
+    return false;
+}
+#endif
+
+MacBodyFn
+macBody()
+{
+    static const MacBodyFn chosen =
+        cpuHasPopcnt() ? macBodyPopcnt : macBodyPortable;
+    return chosen;
+}
 
 CMemEvents &
 CMemEvents::operator+=(const CMemEvents &o)
@@ -39,39 +127,17 @@ CMemSlice::maskRow() const
 
 int64_t
 CMemSlice::mac(unsigned base_a, unsigned base_b, unsigned n,
-               bool is_signed, CMemEvents &ev) const
+               bool is_signed, CMemEvents &ev, MacBodyFn body) const
 {
     maicc_assert(n >= 1 && n <= 32);
-    maicc_assert(base_a + n <= sram.rows());
-    maicc_assert(base_b + n <= sram.rows());
     // The two operand vectors must occupy disjoint word-lines:
     // bit-line computing activates one row of each per cycle.
-    maicc_assert(base_a + n <= base_b || base_b + n <= base_a);
-
-    Row256 enabled = maskRow();
-    int64_t res = 0;
-    for (unsigned i = 0; i < n; ++i) {
-        for (unsigned j = 0; j < n; ++j) {
-            BitlineReadout bl =
-                sram.computeRows(base_a + i, base_b + j);
-            unsigned psum = (bl.andBits & enabled).popcount();
-            // Two's complement: the top bit-row of each operand
-            // carries weight -2^(n-1); the product term's sign is
-            // the product of the operand-row signs.
-            int sign = 1;
-            if (is_signed) {
-                if (i == n - 1)
-                    sign = -sign;
-                if (j == n - 1)
-                    sign = -sign;
-            }
-            res += static_cast<int64_t>(sign)
-                * (static_cast<int64_t>(psum) << (i + j));
-        }
-    }
+    const Row256 *rows = sram.computeRowPairs(base_a, base_b, n);
+    uint64_t res =
+        body(rows + base_a, rows + base_b, n, is_signed, maskRow());
     ev.macOps += 1;
     ev.macActivations += static_cast<uint64_t>(n) * n;
-    return res;
+    return static_cast<int64_t>(res);
 }
 
 void

@@ -64,6 +64,33 @@ struct CMemEvents
 };
 
 /**
+ * A host body of the MAC's n x n loop: the Res value of an n-bit
+ * MAC of operand rows a[0, n) and b[0, n), counting only the
+ * bit-lines set in @p enabled, exact modulo 2^64. Every body returns
+ * the same integer; they differ only in how the host counts bits.
+ */
+using MacBodyFn = uint64_t (*)(const Row256 *a, const Row256 *b,
+                               unsigned n, bool is_signed,
+                               const Row256 &enabled);
+
+/** The portable body; runs on every CPU. */
+uint64_t macBodyPortable(const Row256 *a, const Row256 *b, unsigned n,
+                         bool is_signed, const Row256 &enabled);
+
+/**
+ * The body that counts bits with the x86 POPCNT instruction, or
+ * nullptr where it is not compiled (non-x86). Call it only when
+ * cpuHasPopcnt() holds.
+ */
+extern const MacBodyFn macBodyPopcnt;
+
+/** True when this CPU can run macBodyPopcnt. */
+bool cpuHasPopcnt();
+
+/** The body for this CPU: POPCNT if it can run, else portable. */
+MacBodyFn macBody();
+
+/**
  * One CMem slice: a 64x256 SRAM array plus the peripheral logic of
  * Fig. 8 (sense amplifiers, masked adder tree, shifter, Res
  * register) and the per-slice 8-bit mask CSR, each bit of which
@@ -85,10 +112,14 @@ class CMemSlice
      *
      * @param is_signed two's-complement semantics (the sign-bit rows
      *        carry negative place weight).
-     * @return the accumulated Res register value.
+     * @param body the host loop that computes it (tests pick one).
+     * @return the accumulated Res register value, exact modulo 2^64:
+     *         it equals the dot product whenever that fits in
+     *         int64_t (n <= 27 always does).
      */
     int64_t mac(unsigned base_a, unsigned base_b, unsigned n,
-                bool is_signed, CMemEvents &ev) const;
+                bool is_signed, CMemEvents &ev,
+                MacBodyFn body = macBody()) const;
 
     /** SetRow.C: force every bit of a row to @p value. */
     void setRow(unsigned row, bool value, CMemEvents &ev);

@@ -195,11 +195,10 @@ stageConvNode(const ConvNodeWorkload &w, CMem &cmem, RowStore &rows,
         for (unsigned y = 0; y < w.W; ++y) {
             std::span<const int8_t> pixel(
                 ifmap.data() + size_t(x * w.W + y) * w.C, w.C);
-            for (unsigned bit = 0; bit < w.nBits; ++bit) {
-                Row256 row;
-                setBitPlane(row, 0, pixel, bit);
-                rows.storeRow(convRowAddr(w, x, y, bit), row);
-            }
+            Row256 planes[32];
+            setBitPlanes(planes, w.nBits, 0, pixel);
+            for (unsigned bit = 0; bit < w.nBits; ++bit)
+                rows.storeRow(convRowAddr(w, x, y, bit), planes[bit]);
         }
     }
 }

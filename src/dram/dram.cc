@@ -126,14 +126,6 @@ DramChannel::collect(Cycles now, std::vector<DramCompletion> &out)
     compact(done, doneHead);
 }
 
-std::vector<DramCompletion>
-DramChannel::collect(Cycles now)
-{
-    std::vector<DramCompletion> out;
-    collect(now, out);
-    return out;
-}
-
 bool
 DramChannel::idle() const
 {

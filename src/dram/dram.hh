@@ -80,9 +80,6 @@ class DramChannel : public SimComponent
      */
     void collect(Cycles now, std::vector<DramCompletion> &out);
 
-    /** The same, returned as a new vector. */
-    std::vector<DramCompletion> collect(Cycles now);
-
     /** True when no requests are queued or in flight. */
     bool idle() const;
 

@@ -76,6 +76,22 @@ class SramArray
         return out;
     }
 
+    /**
+     * The operands of a bit-serial MAC: word-line rowA + i is
+     * activated against rowB + j for every i, j < @p n, and all n^2
+     * activations are counted. The two ranges must lie in the array
+     * and be disjoint. Returns row 0 of the array; the caller reads
+     * the AND of each pair from rows[rowA + i] and rows[rowB + j].
+     */
+    const Row256 *
+    computeRowPairs(unsigned rowA, unsigned rowB, unsigned n) const
+    {
+        maicc_assert(rowA + n <= _rows && rowB + n <= _rows);
+        maicc_assert(rowA + n <= rowB || rowB + n <= rowA);
+        computes += uint64_t(n) * n;
+        return data.data();
+    }
+
     /** Direct (non-architectural) access for testing/debug. */
     Row256 &
     peekRow(unsigned row)

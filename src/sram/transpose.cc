@@ -11,11 +11,13 @@ writeTransposed(SramArray &array, unsigned base_row, unsigned n,
 {
     maicc_assert(base_col + values.size() <= Row256::numBits);
     maicc_assert(base_row + n <= array.rows());
-    for (unsigned bit = 0; bit < n; ++bit) {
-        Row256 row = array.readRow(base_row + bit);
-        setBitPlane(row, base_col, values, bit);
-        array.writeRow(base_row + bit, row);
-    }
+    maicc_assert(n >= 1 && n <= 32);
+    Row256 planes[32];
+    for (unsigned bit = 0; bit < n; ++bit)
+        planes[bit] = array.readRow(base_row + bit);
+    setBitPlanes(planes, n, base_col, values);
+    for (unsigned bit = 0; bit < n; ++bit)
+        array.writeRow(base_row + bit, planes[bit]);
 }
 
 std::vector<int32_t>

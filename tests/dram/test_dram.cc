@@ -14,7 +14,8 @@ TEST(DramChannel, ClosedRowAccessLatency)
     DramConfig cfg;
     DramChannel ch(cfg);
     ch.enqueue(0x1000, false, 1, 0);
-    auto done = ch.collect(1'000);
+    std::vector<DramCompletion> done;
+    ch.collect(1'000, done);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0].tag, 1u);
     EXPECT_EQ(done[0].finishedAt,
@@ -29,7 +30,8 @@ TEST(DramChannel, RowHitIsFaster)
     DramChannel ch(cfg);
     ch.enqueue(0x1000, false, 1, 0);
     ch.enqueue(0x1040, false, 2, 0); // same row
-    auto done = ch.collect(1'000);
+    std::vector<DramCompletion> done;
+    ch.collect(1'000, done);
     ASSERT_EQ(done.size(), 2u);
     Cycles first = done[0].finishedAt;
     Cycles second = done[1].finishedAt;
@@ -45,7 +47,8 @@ TEST(DramChannel, RowConflictPaysPrechargeAndRas)
     Addr row_stride = cfg.rowBytes * cfg.numBanks;
     ch.enqueue(0, false, 1, 0);
     ch.enqueue(row_stride, false, 2, 0);
-    auto done = ch.collect(10'000);
+    std::vector<DramCompletion> done;
+    ch.collect(10'000, done);
     ASSERT_EQ(done.size(), 2u);
     Cycles gap = done[1].finishedAt - done[0].finishedAt;
     // Must include precharge + activate; tRAS may dominate.
@@ -60,7 +63,8 @@ TEST(DramChannel, BanksOverlapButShareBus)
     // Different banks: adjacent rowBytes blocks.
     for (unsigned i = 0; i < 4; ++i)
         ch.enqueue(i * cfg.rowBytes, false, i, 0);
-    auto done = ch.collect(10'000);
+    std::vector<DramCompletion> done;
+    ch.collect(10'000, done);
     ASSERT_EQ(done.size(), 4u);
     // The shared data bus serializes transfers even across banks.
     EXPECT_GE(done[3].finishedAt, done[0].finishedAt + 3 * cfg.burst);
@@ -80,7 +84,8 @@ TEST(DramChannel, FrFcfsPrefersRowHits)
     ch.enqueue(0x0, false, 0, 0);
     ch.enqueue(row_stride, false, 1, 0); // conflict, arrives first
     ch.enqueue(0x40, false, 2, 0);       // row hit, arrives second
-    auto done = ch.collect(10'000);
+    std::vector<DramCompletion> done;
+    ch.collect(10'000, done);
     ASSERT_EQ(done.size(), 3u);
     EXPECT_EQ(done[0].tag, 0u);
     EXPECT_EQ(done[1].tag, 2u);
@@ -93,7 +98,8 @@ TEST(DramChannel, WriteStatsAndIdle)
     EXPECT_TRUE(ch.idle());
     ch.enqueue(0x100, true, 7, 0);
     EXPECT_FALSE(ch.idle());
-    auto done = ch.collect(1'000);
+    std::vector<DramCompletion> done;
+    ch.collect(1'000, done);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_TRUE(done[0].write);
     EXPECT_EQ(ch.dramStats().writes, 1u);
@@ -124,14 +130,16 @@ TEST(ManyCoreDram, ChannelsServeInParallel)
         DramChannel one(cfg);
         for (unsigned i = 0; i < 64; ++i)
             one.enqueue(i * 64, false, i, 0);
-        auto d = one.collect(1'000'000);
+        std::vector<DramCompletion> d;
+        one.collect(1'000'000, d);
         single_end = d.back().finishedAt;
     }
     for (unsigned i = 0; i < 64; ++i)
         dram.enqueue(amap::dramBase + i * 64, false, i, 0);
     dram.tick(1'000'000);
     for (unsigned c = 0; c < 32; ++c) {
-        auto d = dram.channel(c).collect(1'000'000);
+        std::vector<DramCompletion> d;
+        dram.channel(c).collect(1'000'000, d);
         for (auto &comp : d)
             multi_end = std::max(multi_end, comp.finishedAt);
     }

@@ -391,8 +391,7 @@ TEST(EngineDifferential, DramPollingDrainVsEventDrain)
             ASSERT_LT(c, Cycles(1'000'000)) << "polling runaway";
             polled.tick(c);
             for (unsigned ch = 0; ch < polled.numChannels(); ++ch)
-                for (auto &d : polled.channel(ch).collect(c))
-                    pdone.push_back(d);
+                polled.channel(ch).collect(c, pdone);
         }
 
         // Event: the wake-up chain drain on the shared kernel.
@@ -505,8 +504,7 @@ TEST(EngineDifferential, DramDeepQueuesAndLateEnqueues)
             }
             polled.tick(c);
             for (unsigned ch = 0; ch < kChannels; ++ch)
-                for (auto &d : polled.channel(ch).collect(c))
-                    pdone.push_back(d);
+                polled.channel(ch).collect(c, pdone);
         }
         ASSERT_EQ(pdone.size(), size_t(kTotal));
         putCompletions(g, k + "polled.", pdone);
@@ -528,8 +526,7 @@ TEST(EngineDifferential, DramDeepQueuesAndLateEnqueues)
         for (Cycles t = 1; !again.idle(); ++t) {
             again.tick(t);
             for (unsigned ch = 0; ch < kChannels; ++ch)
-                for (auto &d : again.channel(ch).collect(t))
-                    adone.push_back(d);
+                again.channel(ch).collect(t, adone);
         }
         EXPECT_EQ(asTriples(edone), asTriples(adone));
         g.put(k + "event.last", last);

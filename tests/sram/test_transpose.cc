@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,15 +59,88 @@ TEST(Transpose, BaseColumnOffset)
 TEST(Transpose, RandomRoundTripAllWidths)
 {
     Rng rng(99);
-    for (unsigned n : {2u, 4u, 8u, 16u}) {
+    for (unsigned n = 1; n <= 32; ++n) {
         SramArray arr(64);
         std::vector<int32_t> vals(256);
-        int32_t lo = -(1 << (n - 1));
-        int32_t hi = (1 << (n - 1)) - 1;
+        int64_t lo = -(int64_t(1) << (n - 1));
+        int64_t hi = (int64_t(1) << (n - 1)) - 1;
         for (auto &v : vals)
             v = static_cast<int32_t>(rng.range(lo, hi));
         writeTransposed(arr, 0, n, vals);
         auto back = readTransposed(arr, 0, n, 256, true);
         EXPECT_EQ(back, vals) << "width " << n;
     }
+}
+
+namespace
+{
+
+/** setBitPlanes one bit-line at a time: the specification. */
+template <typename T>
+void
+referencePlanes(Row256 *rows, unsigned n, unsigned base_col,
+                std::span<const T> values)
+{
+    using U = std::make_unsigned_t<T>;
+    for (unsigned p = 0; p < n; ++p) {
+        for (size_t k = 0; k < values.size(); ++k) {
+            bool bit = p < 8 * sizeof(T)
+                && ((uint64_t(U(values[k])) >> p) & 1);
+            rows[p].set(base_col + unsigned(k), bit);
+        }
+    }
+}
+
+/**
+ * Every width 1..32, every size that fits at each base column, on
+ * rows of random bits: setBitPlanes must equal the reference on all
+ * 256 bit-lines of planes 0..n-1, so the lines outside the window
+ * keep their value, and must leave planes n..31 alone. Full-range
+ * values set bits above n (and, for int8_t, leave the planes above
+ * 8 to read as zero).
+ */
+template <typename T>
+void
+checkSetBitPlanes(uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<T> values(256);
+    for (unsigned base_col : {0u, 1u, 7u, 60u, 63u, 100u, 255u}) {
+        for (unsigned size = 1; base_col + size <= 256; ++size) {
+            for (auto &v : values)
+                v = static_cast<T>(rng.next());
+            std::span<const T> span(values.data(), size);
+            Row256 before[32], want[32];
+            for (auto &row : before) {
+                for (auto &word : row.w)
+                    word = rng.next();
+            }
+            std::copy(before, before + 32, want);
+            // Plane p does not depend on n, so one 32-plane
+            // reference serves every width.
+            referencePlanes(want, 32, base_col, span);
+            for (unsigned n = 1; n <= 32; ++n) {
+                Row256 got[32];
+                std::copy(before, before + 32, got);
+                setBitPlanes(got, n, base_col, span);
+                for (unsigned p = 0; p < 32; ++p) {
+                    ASSERT_EQ(got[p], p < n ? want[p] : before[p])
+                        << "n=" << n << " base_col=" << base_col
+                        << " size=" << size << " plane=" << p;
+                }
+            }
+        }
+    }
+}
+
+} // namespace
+
+TEST(Transpose, SetBitPlanesInt8MatchesBitByBit)
+{
+    checkSetBitPlanes<int8_t>(7);
+}
+
+TEST(Transpose, SetBitPlanesInt32MatchesBitByBit)
+{
+    checkSetBitPlanes<int32_t>(8);
 }
