@@ -24,10 +24,9 @@
  * class 1, and the table reports per-policy percentiles, queueing,
  * and global + per-class SLO attainment (`--slo-cycles=N`; default
  * 4x the minimum isolated service latency). Each variant is also
- * rerun at 8 host threads and with the timing-result cache on, and
- * the stats-JSON registry dumps must be byte-identical — the
- * serving determinism contract, policy by policy; a mismatch fails
- * the run.
+ * rerun with the timing-result cache on, and the stats-JSON
+ * registry dumps must be byte-identical — the serving determinism
+ * contract, policy by policy; a mismatch fails the run.
  *
  * Sweep mode then closes with the **cluster scaling table**
  * (runtime/cluster.hh): the saturated operating point's coupled
@@ -47,13 +46,12 @@
  * a two-chip cluster with timeouts, bounded retries, and overload
  * shedding on. The table reports the disposition breakdown,
  * retry/failover counters, and availability (completed/offered);
- * every scenario is rerun at 8 host threads (byte-identical stats
- * required) and must satisfy request conservation. The fault runs
+ * every scenario must satisfy request conservation. The fault runs
  * join the combined --stats-json registry under `faults-<name>`,
  * so BENCH_serving.json doubles as the availability baseline.
  *
  * Flags: the common set (common/cli.hh: --config --dump-config
- * --stats-json --threads --seed --trace --sim-cache --policy
+ * --stats-json --seed --trace --sim-cache --policy
  * --slo-cycles --chips --shard-policy) plus --requests=R --batch=B
  * --arrivals=FILE. Trace mode serves the file through the cluster
  * tier, so --chips/--shard-policy apply there too. --stats-json
@@ -280,10 +278,10 @@ main(int argc, char **argv)
     }
     // ---- Admission-policy comparison ----
     // Every policy serves the same coupled arrival stream at one
-    // moderately loaded point; each variant is rerun at 8 host
-    // threads and with the timing-result cache on, and every rerun
-    // must dump a byte-identical stats registry (the determinism
-    // contract, policy by policy).
+    // moderately loaded point; each variant is rerun with the
+    // timing-result cache on, and the rerun must dump a
+    // byte-identical stats registry (the determinism contract,
+    // policy by policy).
     struct PolicyVariant
     {
         const char *what;
@@ -319,50 +317,46 @@ main(int argc, char **argv)
     bool policies_identical = true;
     for (const PolicyVariant &v : variants) {
         std::string base_dump;
-        for (unsigned threads : {1u, 8u}) {
-            for (unsigned entries : {0u, 256u}) {
-                ServingConfig rc = pcfg;
-                rc.policy = v.policy;
-                rc.backfill = v.backfill;
-                rc.system.numThreads = threads;
-                rc.system.simCacheEntries = entries;
-                SimContext ctx;
-                auto sim = makeSim(rc);
-                sim->attachTo(ctx);
-                TimingResultCache isolated(entries);
-                if (entries)
-                    sim->setTimingCache(&isolated);
-                ServingResult r = sim->run();
-                std::string dump = ctx.statsToJson().dump();
-                if (!base_dump.empty()) {
-                    policies_identical = policies_identical
-                        && dump == base_dump;
-                    continue;
-                }
-                base_dump = dump;
-                double c0 = 0, c1 = 0;
-                for (const auto &c : r.classes) {
-                    if (c.priorityClass == 0)
-                        c0 = c.sloAttainment();
-                    if (c.priorityClass == 1)
-                        c1 = c.sloAttainment();
-                }
-                uint64_t n = r.sloMet + r.sloMissed;
-                pt.addRow(
-                    {v.what, TextTable::num(r.completed),
-                     TextTable::num(r.rejected),
-                     TextTable::num(r.p50 * ms, 3),
-                     TextTable::num(r.p95 * ms, 3),
-                     TextTable::num(r.p99 * ms, 3),
-                     TextTable::num(r.meanQueueing * ms, 3),
-                     TextTable::num(
-                         n ? 100.0 * double(r.sloMet) / double(n)
-                           : 0.0,
-                         1),
-                     TextTable::num(c0 * 100, 1),
-                     TextTable::num(c1 * 100, 1),
-                     TextTable::num(r.throughput(hz), 1)});
+        for (unsigned entries : {0u, 256u}) {
+            ServingConfig rc = pcfg;
+            rc.policy = v.policy;
+            rc.backfill = v.backfill;
+            rc.system.simCacheEntries = entries;
+            SimContext ctx;
+            auto sim = makeSim(rc);
+            sim->attachTo(ctx);
+            TimingResultCache isolated(entries);
+            if (entries)
+                sim->setTimingCache(&isolated);
+            ServingResult r = sim->run();
+            std::string dump = ctx.statsToJson().dump();
+            if (!base_dump.empty()) {
+                policies_identical = policies_identical
+                    && dump == base_dump;
+                continue;
             }
+            base_dump = dump;
+            double c0 = 0, c1 = 0;
+            for (const auto &c : r.classes) {
+                if (c.priorityClass == 0)
+                    c0 = c.sloAttainment();
+                if (c.priorityClass == 1)
+                    c1 = c.sloAttainment();
+            }
+            uint64_t n = r.sloMet + r.sloMissed;
+            pt.addRow({v.what, TextTable::num(r.completed),
+                       TextTable::num(r.rejected),
+                       TextTable::num(r.p50 * ms, 3),
+                       TextTable::num(r.p95 * ms, 3),
+                       TextTable::num(r.p99 * ms, 3),
+                       TextTable::num(r.meanQueueing * ms, 3),
+                       TextTable::num(
+                           n ? 100.0 * double(r.sloMet) / double(n)
+                             : 0.0,
+                           1),
+                       TextTable::num(c0 * 100, 1),
+                       TextTable::num(c1 * 100, 1),
+                       TextTable::num(r.throughput(hz), 1)});
         }
     }
     std::printf("\n== Admission policies (same arrival stream, "
@@ -370,8 +364,8 @@ main(int argc, char **argv)
                 "camera=class 1) ==\n\n",
                 pcfg.meanInterarrival / 1e6, double(slo) * ms);
     pt.print(std::cout);
-    std::printf("\nPer-policy determinism (1/8 threads x "
-                "sim-cache off/on): %s\n",
+    std::printf("\nPer-policy determinism (sim-cache off/on): "
+                "%s\n",
                 policies_identical ? "PASS" : "FAIL");
 
     // ---- Cluster scaling ----
@@ -457,11 +451,9 @@ main(int argc, char **argv)
     // cluster with the recovery knobs on (timeout + bounded retry,
     // overload shedding), swept across one scenario per fault
     // class plus a seeded Poisson chaos schedule. Availability is
-    // completed/offered; every scenario is rerun at 8 host threads
-    // and must dump a byte-identical stats registry (the fault
-    // determinism contract, DESIGN.md §16), and the disposition
-    // counters must partition the offered stream (the
-    // request-conservation rule, check/invariants.hh).
+    // completed/offered, and the disposition counters must
+    // partition the offered stream (the request-conservation rule,
+    // check/invariants.hh).
     struct FaultScenario
     {
         const char *what;
@@ -518,25 +510,10 @@ main(int argc, char **argv)
 
     TextTable ft({"scenario", "offered", "done", "rej", "shed",
                   "timeout", "retries", "failovers", "avail %"});
-    bool faults_identical = true;
     bool faults_conserved = true;
     for (const FaultScenario &fs : fscen) {
-        // Determinism rerun first, in throwaway registries.
-        std::string dumps[2];
-        for (unsigned ti = 0; ti < 2; ++ti) {
-            ServingConfig rc = fs.cfg;
-            rc.system.numThreads = ti ? 8 : 1;
-            SimContext fctx;
-            auto sim = makeCluster(rc);
-            sim->attach(fctx, std::string("faults-") + fs.what);
-            sim->run();
-            dumps[ti] = fctx.statsToJson().dump();
-        }
-        faults_identical = faults_identical
-            && dumps[0] == dumps[1];
-
-        // The authoritative run joins the combined registry, so
-        // the dumped baseline carries the availability counters.
+        // Each run joins the combined registry, so the dumped
+        // baseline carries the availability counters.
         auto sim = makeCluster(fs.cfg);
         sim->attach(scale_ctx, std::string("faults-") + fs.what);
         ClusterResult fr = sim->run();
@@ -566,15 +543,13 @@ main(int argc, char **argv)
                 fscen[0].cfg.maxRetries,
                 fscen[0].cfg.shedQueueDepth);
     ft.print(std::cout);
-    std::printf("\nPer-scenario determinism (1 vs 8 threads): %s\n"
-                "Request conservation (every scenario): %s\n",
-                faults_identical ? "PASS" : "FAIL",
+    std::printf("\nRequest conservation (every scenario): %s\n",
                 faults_conserved ? "PASS" : "FAIL");
 
     bool stats_ok = opt.writeStats(scale_ctx);
     return monotone && stats_ok && identical && policies_identical
             && scaling_monotone && chips1_identical
-            && faults_identical && faults_conserved
+            && faults_conserved
         ? 0
         : 1;
 }

@@ -8,8 +8,10 @@
  * against time-multiplexing the whole array.
  *
  * Build & run:  ./build/examples/multi_dnn_parallel
- * Flags: the common set (common/cli.hh), e.g. --threads=N,
- * --config=FILE, --stats-json=FILE.
+ * Flags: the common set (common/cli.hh), e.g. --config=FILE,
+ * --stats-json=FILE. "Parallel" is the simulated array's: the
+ * regions run concurrently on the chip, and the host simulates
+ * them one after another on one thread.
  */
 
 #include <cstdio>
@@ -117,9 +119,7 @@ main(int argc, char **argv)
 
     // The host CPU's automatic partitioner (paper §3.1 / §8):
     // admit both models, let the host size the regions.
-    // The host steps per-model region shards in parallel; results
-    // are identical at any --threads=N (DESIGN.md).
-    HostScheduler host(210, g_scfg.numThreads);
+    HostScheduler host(210);
     host.addTask({"camera", &detector.net, &detector.weights,
                   &detector.input, 3.0}); // camera is hotter
     host.addTask({"radar", &policy.net, &policy.weights,

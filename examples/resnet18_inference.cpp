@@ -6,8 +6,8 @@
  * report latency, per-segment timing, energy, and power.
  *
  * Build & run:  ./build/examples/resnet18_inference
- * Flags: the common set (common/cli.hh), e.g. --threads=N,
- * --config=FILE, --stats-json=FILE.
+ * Flags: the common set (common/cli.hh), e.g. --config=FILE,
+ * --stats-json=FILE.
  */
 
 #include <algorithm>

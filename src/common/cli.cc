@@ -6,7 +6,6 @@
 #include <cstring>
 #include <iostream>
 #include <limits>
-#include <thread>
 
 #include "common/sim_component.hh"
 
@@ -93,17 +92,8 @@ Options::Options(std::string tool_name, int &argc, char **argv)
     // Environment first (lowest precedence above the defaults).
     if (const char *env = std::getenv("MAICC_TRACE"))
         trace = env;
-    const uint64_t max_threads = SystemConfig::kMaxNumThreads;
-    const char *env_threads = std::getenv("MAICC_THREADS");
-    if (env_threads && *env_threads) {
-        uint64_t v = 0;
-        if (parseUintAtMost(env_threads, max_threads, v))
-            config.system.numThreads = unsigned(v);
-        else
-            error = rangeError("MAICC_THREADS", max_threads);
-    }
 
-    // Config file overlays the defaults (and the env threads).
+    // Config file overlays the defaults.
     configPath = take(argc, argv, "config");
     if (!configPath.empty()) {
         std::string err;
@@ -113,14 +103,6 @@ Options::Options(std::string tool_name, int &argc, char **argv)
     }
 
     // Explicit flags win over everything.
-    std::string threads_s = take(argc, argv, "threads");
-    if (!threads_s.empty()) {
-        uint64_t v = 0;
-        if (parseUintAtMost(threads_s, max_threads, v))
-            config.system.numThreads = unsigned(v);
-        else if (error.empty())
-            error = rangeError("--threads", max_threads);
-    }
     std::string seed_s = take(argc, argv, "seed");
     if (!seed_s.empty()) {
         if (parseUint(seed_s, seedVal))
@@ -244,7 +226,8 @@ Options::Options(std::string tool_name, int &argc, char **argv)
         if (!validateFaultConfig(
                 config.serving.faults,
                 std::max(1u, config.serving.chips),
-                config.system.dramChannels, &err)) {
+                config.system.dramChannels,
+                config.serving.arrivalSpan(), &err)) {
             error = err;
         }
     }
@@ -307,7 +290,7 @@ Options::finish(bool allow_extra)
         std::fprintf(
             stderr,
             "common flags: --config=FILE --dump-config "
-            "--stats-json=FILE --threads=N --seed=S "
+            "--stats-json=FILE --seed=S "
             "--trace=FILE --sim-cache=N --host-timers "
             "--policy=fifo|sjf|priority --slo-cycles=N "
             "--chips=N "

@@ -1,17 +1,14 @@
 /**
  * @file
  * The one command-line front end shared by every bench and example
- * binary. Replaces the per-binary copies of `--threads` /
- * `MAICC_THREADS` / `--trace` / `--seed` parsing with a single
- * implementation, and adds the uniform run plumbing:
+ * binary: one implementation of the `--trace` / `--seed` parsing
+ * and the uniform run plumbing:
  *
  *   --config=FILE     overlay a JSON config file ("-" = stdin) on
  *                     the defaults (schema: DESIGN.md §12)
  *   --dump-config     print the effective config JSON and exit
  *   --stats-json=FILE dump the SimContext stat registry as JSON
  *                     after the run ("-" = stdout)
- *   --threads=N       host threads in [0, 64] (also MAICC_THREADS;
- *                     0 = hw)
  *   --seed=S          RNG seed where the binary uses one
  *   --trace=FILE      commit-trace JSONL (also MAICC_TRACE)
  *   --sim-cache=N     timing-result cache capacity in entries
@@ -39,8 +36,8 @@
  *   --host-timers     include per-component host wall-clock
  *                     attribution (hostSeconds) in --stats-json
  *
- * Precedence: defaults < MAICC_* environment < --config file <
- * explicit flags. Binaries fetch their own extra flags with
+ * Precedence: defaults < MAICC_TRACE environment < --config file
+ * < explicit flags. Binaries fetch their own extra flags with
  * flag()/flagUint() and then call finish(), which rejects any
  * unrecognized --option so typos fail loudly.
  *
@@ -88,9 +85,6 @@ class Options
 
     /** The effective configuration tree. */
     SimConfig config;
-
-    /** Resolved host-thread count (== config.system.numThreads). */
-    unsigned threads() const { return config.system.numThreads; }
 
     /** --seed=S, or @p def when absent (config file's serving.seed
      * acts as an intermediate default). */

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "common/json.hh"
-#include "common/logging.hh"
 
 namespace maicc
 {
@@ -325,7 +324,6 @@ toJson(const SystemConfig &c)
     j.set("coreBudget", c.coreBudget);
     j.set("dramChannels", c.dramChannels);
     j.set("clockHz", c.clockHz);
-    j.set("numThreads", c.numThreads);
     j.set("simCacheEntries", c.simCacheEntries);
     j.set("geometry", toJson(c.geometry));
     j.set("noc", toJson(c.noc));
@@ -343,21 +341,7 @@ fromJson(const Json &j, SystemConfig &out, std::string *err,
     r.integer("coreBudget", budget);
     r.integer("dramChannels", out.dramChannels, 1);
     r.number("clockHz", out.clockHz);
-    r.integer("numThreads", out.numThreads, 0,
-              SystemConfig::kMaxNumThreads);
     r.integer("simCacheEntries", out.simCacheEntries);
-    // Deprecated: the event engine is the only one left, so its
-    // name still loads (with a warning) and anything else fails.
-    if (const Json *engine = r.take("engine")) {
-        if (engine->isString() && engine->asString() == "event") {
-            maicc_warn("%s.engine: deprecated key, ignored (the "
-                       "event engine is the only engine)",
-                       path.c_str());
-        } else {
-            r.fail("engine", "the ticked engine was removed; only "
-                             "\"event\" is accepted");
-        }
-    }
     r.nested("geometry", out.geometry);
     r.nested("noc", out.noc);
     r.nested("dram", out.dram);
@@ -563,7 +547,8 @@ fromJson(const Json &j, SimConfig &out, std::string *err)
     if (ok
         && !validateFaultConfig(out.serving.faults,
                                 std::max(1u, out.serving.chips),
-                                out.system.dramChannels, err)) {
+                                out.system.dramChannels,
+                                out.serving.arrivalSpan(), err)) {
         ok = false;
     }
     // One system tree: the serving layer always runs under the

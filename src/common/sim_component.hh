@@ -18,7 +18,7 @@
  *    can never silently alias one stats namespace;
  *  - a uniform reset() story: ServingSimulator re-uses one
  *    constructed MaiccSystem per model across requests (a real
- *    host-time win — no thread-pool or cache re-construction) and
+ *    host-time win — no LLC re-construction) and
  *    the reset path is asserted bitwise identical to fresh
  *    construction in tests/runtime/test_reset.cc.
  *

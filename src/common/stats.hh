@@ -70,8 +70,8 @@ class StatSummary
  * memory is negligible next to the tensors in flight), so
  * percentile() is nearest-rank over the real values rather than a
  * bucket approximation — the serving tests compare percentiles
- * bitwise across thread counts, which a bucketed estimate could not
- * guarantee.
+ * bitwise across reruns and cache settings, which a bucketed
+ * estimate could not guarantee.
  */
 class StatHistogram
 {
@@ -151,11 +151,7 @@ class StatGroup
     /**
      * Add every counter and summary of @p o into this group
      * (matched by unqualified name; missing stats are created).
-     * This is the merge step of the concurrency model: worker
-     * shards accumulate into private StatGroups and the owner
-     * merges them in shard order at the barrier, so counters are
-     * never a shared-write hotspot and totals are identical at any
-     * thread count.
+     * The sim cache replays a memoized run's stat deltas with it.
      */
     void mergeFrom(const StatGroup &o);
 

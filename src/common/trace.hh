@@ -165,10 +165,8 @@ struct ServingRecord
 };
 
 /**
- * Collects records from the models it is attached to. A sink is
- * node-private state in the sense of DESIGN.md's concurrency model:
- * attach one sink per model instance (the emitting models never
- * share a sink across threads).
+ * Collects records from the models it is attached to. Not
+ * thread-safe: a sink belongs to one simulation on one thread.
  */
 class TraceSink
 {

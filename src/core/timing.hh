@@ -21,15 +21,10 @@
  *  - scoreboard-managed (non-blocking) remote accesses with a
  *    configurable round-trip latency when no NoC is attached.
  *
- * Concurrency model (DESIGN.md): a CoreTimingModel is *node-
- * private* state — every mutable field lives in the instance and
- * it holds no references to mesh-shared structures (its CMem,
- * memory, and row port belong to the same node). Instances are
- * therefore thread-compatible: parallel node stepping may run one
- * shard's models concurrently with another's as long as each
- * instance stays confined to one shard between barriers. The
- * returned CoreRunStats are shard-private and merged by the owner
- * in shard order.
+ * A CoreTimingModel is *node-private* state: every mutable field
+ * lives in the instance and it holds no references to mesh-shared
+ * structures (its CMem, memory, and row port belong to the same
+ * node).
  */
 
 #ifndef MAICC_CORE_TIMING_HH

@@ -32,8 +32,8 @@
  * Determinism contract: the resolved schedule is a pure function of
  * (FaultConfig, ServingConfig) — explicit events verbatim, random
  * events from an Rng seeded with FaultConfig::seed — so a
- * fixed-fault-seed run is bitwise identical at any host thread
- * count, with the sim cache on or off (the TimingResultCache key
+ * fixed-fault-seed run is bitwise identical from one simulator to
+ * the next, with the sim cache on or off (the TimingResultCache key
  * incorporates faultSignature()).
  *
  * Header-only on purpose, mirroring admission.hh: the config/CLI
@@ -44,7 +44,9 @@
 #ifndef MAICC_FAULT_FAULT_MODEL_HH
 #define MAICC_FAULT_FAULT_MODEL_HH
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -143,17 +145,37 @@ struct FaultConfig
 };
 
 /**
+ * Largest accepted noc-degrade hop-latency multiplier. Random
+ * draws stay in [1.25, 4]; overlapping windows still multiply, so
+ * the serving tier saturates the scaled service time as well.
+ */
+inline constexpr double kMaxNocDegradeFactor = 1000.0;
+
+/**
+ * Largest accepted expected count of random faults,
+ * rate x window / 1e6. Every draw is stored, so an unbounded
+ * product would allocate without bound. Rates of at most 5 per
+ * million cycles over the repository's arrival spans expect fewer
+ * than 10000.
+ */
+inline constexpr double kMaxExpectedRandomFaults = 100000.0;
+
+/**
  * Validate @p fc against the serving shape: every event must name a
  * configured chip, kind-specific parameters must be meaningful, and
- * windowed kinds need a non-empty window. On failure writes one
- * precise "<path>: <what>" message to @p err (when non-null) and
- * returns false. Shared by the JSON config binding, the CLI layer,
- * and the FaultInjector constructor so a bad spec fails identically
+ * windowed kinds need a non-empty window. The random rate must be
+ * finite and expect at most kMaxExpectedRandomFaults events over
+ * the horizon the FaultInjector draws over: fc.window, or
+ * @p default_window when that is 0. On failure writes one precise
+ * "<path>: <what>" message to @p err (when non-null) and returns
+ * false. Shared by the JSON config binding, the CLI layer, and the
+ * FaultInjector constructor so a bad spec fails identically
  * everywhere.
  */
 inline bool
 validateFaultConfig(const FaultConfig &fc, unsigned chips,
-                    unsigned dram_channels, std::string *err,
+                    unsigned dram_channels, Cycles default_window,
+                    std::string *err,
                     const std::string &path = "serving.faults")
 {
     auto fail = [&](const std::string &where,
@@ -164,6 +186,20 @@ validateFaultConfig(const FaultConfig &fc, unsigned chips,
     };
     if (fc.rate < 0.0)
         return fail(".rate", "expected a non-negative rate");
+    if (!std::isfinite(fc.rate))
+        return fail(".rate", "expected a finite rate");
+    const Cycles window = fc.window ? fc.window : default_window;
+    const double expected = fc.rate * double(window) / 1e6;
+    if (expected > kMaxExpectedRandomFaults) {
+        char what[160];
+        std::snprintf(what, sizeof what,
+                      "rate %g expects %.3g random faults over the "
+                      "%llu-cycle window (at most %g)",
+                      fc.rate, expected,
+                      static_cast<unsigned long long>(window),
+                      kMaxExpectedRandomFaults);
+        return fail(".rate", what);
+    }
     for (size_t i = 0; i < fc.events.size(); ++i) {
         const FaultEvent &e = fc.events[i];
         std::string at = ".events[" + std::to_string(i) + "]";
@@ -204,9 +240,9 @@ validateFaultConfig(const FaultConfig &fc, unsigned chips,
             }
             break;
           case FaultKind::NocDegrade:
-            if (e.factor < 1.0) {
+            if (!(e.factor >= 1.0 && e.factor <= kMaxNocDegradeFactor)) {
                 return fail(at + ".factor",
-                            "expected factor >= 1.0");
+                            "expected a factor in [1, 1000]");
             }
             break;
         }

@@ -1,9 +1,9 @@
 #include "fault/injector.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 
 namespace maicc
@@ -80,10 +80,13 @@ FaultInjector::FaultInjector(const FaultConfig &cfg, unsigned chips,
                              Cycles default_window)
     : SimComponent("faults"), config(cfg)
 {
+    // The front ends validate against the arrival span they parsed;
+    // a binary that reshapes the stream afterwards is checked here,
+    // against the window actually drawn over.
     std::string err;
-    bool ok = validateFaultConfig(cfg, chips, dram_channels, &err);
-    assert(ok && "FaultInjector given an unvalidated FaultConfig");
-    (void)ok;
+    if (!validateFaultConfig(cfg, chips, dram_channels, default_window,
+                             &err))
+        maicc_fatal("%s", err.c_str());
 
     events = cfg.events;
     Cycles window = cfg.window ? cfg.window : default_window;

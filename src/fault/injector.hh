@@ -7,7 +7,7 @@
  * plus a random schedule drawn from Rng(seed) when rate > 0. The
  * resolution is a pure function of its constructor arguments — no
  * host state, no clocks — which is what makes a fixed-fault-seed
- * serving run bitwise reproducible at any thread count.
+ * serving run bitwise reproducible from one simulator to the next.
  *
  * The injector does not mutate anything itself: the serving loop
  * (runtime/serving_loop.cc) walks schedule() and applies each
@@ -36,10 +36,10 @@ class FaultInjector : public SimComponent
      * Resolve @p cfg for a run with @p chips shards and
      * @p dram_channels channels per shard. @p default_window is
      * the random-schedule horizon used when cfg.window is 0
-     * (callers pass the expected arrival span,
-     * offeredRequests x meanInterarrival). Asserts the config is
-     * valid — callers validate with validateFaultConfig() first
-     * for a recoverable error.
+     * (callers pass ServingConfig::arrivalSpan()). Exits through
+     * maicc_fatal with validateFaultConfig()'s message unless the
+     * config is valid — callers validate first for a recoverable
+     * error.
      */
     FaultInjector(const FaultConfig &cfg, unsigned chips,
                   unsigned dram_channels, Cycles default_window);

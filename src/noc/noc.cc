@@ -205,32 +205,6 @@ MeshNoc::delivered(NodeId id)
     return deliverQueues[id];
 }
 
-ShardedInjector::ShardedInjector(size_t num_shards)
-    : staged(num_shards)
-{
-    maicc_assert(num_shards > 0);
-}
-
-void
-ShardedInjector::stage(size_t shard, Packet pkt)
-{
-    maicc_assert(shard < staged.size());
-    staged[shard].push_back(pkt);
-}
-
-size_t
-ShardedInjector::commit(MeshNoc &noc)
-{
-    size_t n = 0;
-    for (auto &q : staged) {
-        for (const Packet &pkt : q)
-            noc.inject(pkt);
-        n += q.size();
-        q.clear();
-    }
-    return n;
-}
-
 bool
 MeshNoc::idle() const
 {

@@ -46,15 +46,8 @@ struct Packet
 
 /**
  * The mesh. Drive with tick(); packets appear on per-node delivery
- * queues once their tail flit ejects.
- *
- * Concurrency model (DESIGN.md): the mesh is *mesh-shared* state
- * with a single owner — all routers advance together in tick(), so
- * the router pass runs on one thread, between the barriers that
- * end the parallel node-stepping shards. Shard workers must not
- * call inject()/tick()/delivered() directly; they stage traffic in
- * a ShardedInjector, which the owner commits in shard order at the
- * barrier.
+ * queues once their tail flit ejects. Packet ids and inject-queue
+ * order follow the order of inject() calls.
  */
 class MeshNoc : public SimComponent
 {
@@ -251,37 +244,6 @@ class MeshNoc : public SimComponent
     std::vector<uint64_t> activeRouters;   ///< routers with >=1 flit
     std::vector<uint64_t> activeInjectors; ///< nodes with backlog
     bool lastTickProgress = false; ///< last tick moved/injected
-};
-
-/**
- * Deterministic injection staging for parallel node stepping.
- * Packet ids and inject-queue order are assigned by the mesh at
- * inject() time, so concurrent inject() calls would make them
- * depend on thread scheduling. Instead each shard stages its
- * packets into a shard-private queue (no synchronization, no
- * false sharing on the id counter) and the mesh owner commits all
- * staged traffic in shard-index order at the barrier — the same
- * ids and ordering as a serial run that visits shards in order.
- */
-class ShardedInjector
-{
-  public:
-    explicit ShardedInjector(size_t num_shards);
-
-    size_t shards() const { return staged.size(); }
-
-    /** Stage @p pkt from @p shard. Safe concurrently per shard. */
-    void stage(size_t shard, Packet pkt);
-
-    /**
-     * Inject every staged packet into @p noc, shard 0 first, each
-     * shard's packets in staging order; clears the stage.
-     * @return packets committed. Owner-thread only.
-     */
-    size_t commit(MeshNoc &noc);
-
-  private:
-    std::vector<std::vector<Packet>> staged;
 };
 
 } // namespace maicc

@@ -12,7 +12,7 @@
  * everything else (region carving, batching, completion), so every
  * policy inherits the serving determinism contract for free: a
  * policy is a pure function of the queue snapshot it is handed, and
- * the snapshot is built from thread-count-invariant quantities.
+ * the snapshot is built from deterministic quantities.
  *
  * Built-in policies (SchedPolicy, `--policy=fifo|sjf|priority`):
  *
@@ -170,8 +170,8 @@ struct QueuedRequest
 /**
  * The admission decision, pluggable. pick() must be a pure function
  * of its arguments (no hidden state, no randomness) — that is what
- * keeps fixed-seed serving runs bitwise identical at any host
- * thread count and lets run() be called repeatedly.
+ * keeps fixed-seed serving runs bitwise identical from one
+ * simulator to the next and lets run() be called repeatedly.
  */
 class AdmissionPolicy
 {

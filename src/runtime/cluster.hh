@@ -25,8 +25,8 @@
  *
  * Determinism contract (pinned by tests/runtime/test_cluster.cc):
  *
- *  - fixed-seed cluster runs are bitwise identical at any
- *    SystemConfig::numThreads and with the sim cache on or off —
+ *  - fixed-seed cluster runs are bitwise identical from one
+ *    simulator to the next and with the sim cache on or off —
  *    dispatch looks only at deterministic dispatcher state (never
  *    at cache occupancy: model-affinity warmth is tracked as "this
  *    shard dispatched this model before", which is seed-determined);

@@ -59,19 +59,15 @@ HostScheduler::schedule()
         }
     }
 
-    // Initial per-region simulation: regions are MIMD-independent,
-    // so each admitted model is a shard; every job writes only its
-    // own latency slot (merged trivially — slots are disjoint).
+    // Initial per-region simulation.
     std::vector<double> latency(tasks.size(), 0.0);
-    pool.run(tasks.size(), [&](size_t i) {
+    for (size_t i = 0; i < tasks.size(); ++i) {
         if (region[i])
             latency[i] = simulateLatencyMs(tasks[i], region[i]);
-    });
+    }
 
     // Growth: hand leftover cores to the worst demand-weighted
-    // region, in chunks, re-simulating as we go. Each decision
-    // depends on the previous one, so this loop is inherently
-    // serial (the determinism contract beats speculative growth).
+    // region, in chunks, re-simulating as we go.
     const unsigned chunk = 8;
     while (free_cores >= chunk) {
         int worst = -1;
@@ -99,22 +95,14 @@ HostScheduler::schedule()
         // mirroring a host that reserves headroom.
     }
 
-    // Final plans, one shard per region; assembled in task order
-    // below so the result is independent of scheduling.
-    std::vector<MappingPlan> plans(tasks.size());
-    pool.run(tasks.size(), [&](size_t i) {
-        if (region[i])
-            plans[i] = planMapping(*tasks[i].net,
-                                   Strategy::Heuristic, region[i]);
-    });
-
     for (size_t i = 0; i < tasks.size(); ++i) {
         if (!region[i])
             continue;
         RegionAssignment ra;
         ra.taskIdx = i;
         ra.cores = region[i];
-        ra.plan = std::move(plans[i]);
+        ra.plan = planMapping(*tasks[i].net, Strategy::Heuristic,
+                              region[i]);
         ra.latencyMs = latency[i];
         ra.throughput = 1e3 / ra.latencyMs;
         result.aggregateThroughput += ra.throughput;

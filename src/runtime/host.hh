@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/parallel.hh"
 #include "runtime/system.hh"
 
 namespace maicc
@@ -73,16 +72,8 @@ struct HostScheduleResult
 class HostScheduler
 {
   public:
-    /**
-     * @p num_threads host threads simulate admitted models in
-     * parallel (regions are MIMD — fully independent between NoC
-     * barriers — so model-level sharding is the natural
-     * decomposition; each per-model MaiccSystem itself runs
-     * serially). Results are identical at any thread count.
-     */
-    explicit HostScheduler(unsigned array_cores = 210,
-                           unsigned num_threads = 1)
-        : arrayCores(array_cores), pool(num_threads)
+    explicit HostScheduler(unsigned array_cores = 210)
+        : arrayCores(array_cores)
     {
     }
 
@@ -102,7 +93,6 @@ class HostScheduler
 
   private:
     unsigned arrayCores;
-    ThreadPool pool; ///< steps per-model region shards
     std::vector<ModelTask> tasks;
 };
 

@@ -35,8 +35,7 @@
  *
  * Tile state is per thread. `dotTileAmx` loads its tile
  * configuration on entry and releases the tiles before it returns,
- * so any thread (every ThreadPool worker that runs a shard) may call
- * it, and no tile state outlives a call.
+ * so no tile state outlives a call and any thread may call it.
  */
 
 #ifndef MAICC_RUNTIME_INT8_DOT_HH

@@ -99,8 +99,7 @@ ServingSimulator::ServingSimulator(ServingConfig config)
         // cluster built on this simulator.
         injector = std::make_unique<FaultInjector>(
             cfg.faults, std::max(1u, cfg.chips),
-            cfg.system.dramChannels,
-            Cycles(cfg.offeredRequests) * cfg.meanInterarrival);
+            cfg.system.dramChannels, cfg.arrivalSpan());
     }
 }
 

@@ -22,10 +22,9 @@
  * The event loop is a serial discrete-event simulation in integer
  * cycles; every per-request service time comes from the existing
  * functional+timing system (MaiccSystem::run under the request's
- * granted core budget), so the PR 1 determinism contract carries
- * over: a fixed seed produces bitwise-identical results at any
- * SystemConfig::numThreads (see DESIGN.md "Request-driven
- * serving").
+ * granted core budget), so a fixed seed produces bitwise-identical
+ * results from one simulator to the next, with the sim cache on or
+ * off (see DESIGN.md "Request-driven serving").
  */
 
 #ifndef MAICC_RUNTIME_SERVING_HH
@@ -86,7 +85,7 @@ struct ServedModel
 /** Serving-layer configuration. */
 struct ServingConfig
 {
-    SystemConfig system; ///< numThreads, clockHz, coreBudget, ...
+    SystemConfig system; ///< clockHz, coreBudget, simCacheEntries, ...
 
     ArrivalProcess arrivals = ArrivalProcess::Poisson;
     uint64_t seed = 1;
@@ -103,6 +102,16 @@ struct ServingConfig
 
     /** Requests offered in Poisson mode. */
     unsigned offeredRequests = 32;
+
+    /**
+     * Expected span of the Poisson stream in cycles: the random
+     * fault schedule's horizon when faults.window is 0.
+     */
+    Cycles
+    arrivalSpan() const
+    {
+        return Cycles(offeredRequests) * meanInterarrival;
+    }
 
     /** Arrivals at or past this cycle are cut off (0 = no cutoff). */
     Cycles horizon = 0;
@@ -434,8 +443,8 @@ void appendServingTrace(const ServingResult &res,
  * every (model, cores) probe and every run() — reset() between
  * probes restores the just-constructed state, so the profile is
  * bitwise identical to one from a fresh system (pinned by
- * tests/runtime/test_reset.cc) without paying thread-pool and
- * cache construction per probe.
+ * tests/runtime/test_reset.cc) without paying LLC construction per
+ * probe.
  */
 class ServingSimulator : public SimComponent
 {

@@ -37,8 +37,8 @@
  * Determinism: the loop is serial, every draw comes from seeded
  * state resolved before the first event, and the ordering key is a
  * pure function of the schedule() stream — a fixed (seed, config)
- * run is bitwise identical at any host thread count and sim-cache
- * setting.
+ * run is bitwise identical from one simulator to the next and at
+ * any sim-cache setting.
  */
 
 #ifndef MAICC_RUNTIME_SERVING_LOOP_HH

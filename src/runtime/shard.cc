@@ -7,6 +7,43 @@
 namespace maicc
 {
 
+namespace
+{
+
+/**
+ * The cycle slowed-down service saturates at: a power of two, so
+ * the double comparison below is exact, and half of kNever, which
+ * stays the loop's "no event" mark.
+ */
+constexpr Cycles kEndOfTime = Cycles(1) << 63;
+
+/**
+ * @p c scaled by @p slow (>= 1, possibly inf: overlapping windows
+ * multiply), saturating at kEndOfTime rather than taking an
+ * out-of-range double-to-integer cast.
+ */
+Cycles
+slowedCycles(Cycles c, double slow)
+{
+    if (c == 0)
+        return 0;
+    double x = static_cast<double>(c) * slow;
+    return x < static_cast<double>(kEndOfTime) ? static_cast<Cycles>(x)
+                                               : kEndOfTime;
+}
+
+/** now + lat + k * interval, saturating at kEndOfTime. */
+Cycles
+finishCycle(Cycles now, Cycles lat, Cycles interval, uint64_t k)
+{
+    Cycles room = now < kEndOfTime ? kEndOfTime - now : 0;
+    if (lat >= room || (k && interval > (room - lat) / k))
+        return std::max(now, kEndOfTime);
+    return now + lat + k * interval;
+}
+
+} // namespace
+
 ShardEngine::ShardEngine(const ServingConfig &config,
                          const std::vector<ServedModel> &models_,
                          const std::vector<unsigned> &min_cores,
@@ -179,10 +216,8 @@ ShardEngine::tryAdmit(Cycles now)
         // keeps the exact integer arithmetic.
         double slow = slowdownAt(now);
         if (slow != 1.0) {
-            lat = static_cast<Cycles>(
-                static_cast<double>(lat) * slow);
-            interval = static_cast<Cycles>(
-                static_cast<double>(interval) * slow);
+            lat = slowedCycles(lat, slow);
+            interval = slowedCycles(interval, slow);
         }
         minService = std::min(minService, lat);
         for (size_t k = 0; k < batch.size(); ++k) {
@@ -190,7 +225,7 @@ ShardEngine::tryAdmit(Cycles now)
             req.start = now;
             req.cores = grant;
             req.batchSize = unsigned(batch.size());
-            req.finish = now + lat + Cycles(k) * interval;
+            req.finish = finishCycle(now, lat, interval, k);
             r.finish = req.finish;
         }
         running.push(std::move(r));

@@ -111,12 +111,10 @@ makeTimingKey(const Network &net, const MappingPlan &plan,
 
     // SystemConfig subtree via its canonical JSON dump (Json::dump
     // is deterministic: sorted keys, fixed number formatting). The
-    // host-side knobs are pinned to 0 first: numThreads and
-    // simCacheEntries change the simulator's wall-clock, never its
-    // results (the PR 1 determinism contract), so they must not
+    // host-side simCacheEntries is pinned to 0 first: it changes the
+    // simulator's wall-clock, never its results, so it must not
     // fragment the key space.
     SystemConfig pinned = sys;
-    pinned.numThreads = 0;
     pinned.simCacheEntries = 0;
     m += "sys=";
     m += toJson(pinned).dump();

@@ -22,8 +22,8 @@
  * activity, LLC stat deltas, and StatGroup contents the real run
  * would have produced — so a fixed-seed serving run is *bitwise
  * identical* (every ServingResult field and every byte of a
- * --stats-json dump) with the cache on or off, at any thread
- * count. Pinned by tests/runtime/test_sim_cache.cc.
+ * --stats-json dump) with the cache on or off. Pinned by
+ * tests/runtime/test_sim_cache.cc.
  *
  * The cache itself is a SimComponent ("simCache") with hit / miss /
  * insertion / eviction counters, but it is host-side machinery, not
@@ -78,10 +78,9 @@ struct TimingKey
  * placement shape of every segment (placementSignature over
  * placeSegment — shape, not physical slots, because hop latency is
  * per-edge), the serving @p batch size, and the @p sys subtree's
- * canonical JSON dump with the host-side knobs (numThreads,
- * simCacheEntries) pinned to 0 — those change the simulator's
- * wall-clock, never its results, so they must not fragment the key
- * space.
+ * canonical JSON dump with the host-side simCacheEntries pinned
+ * to 0 — it changes the simulator's wall-clock, never its results,
+ * so it must not fragment the key space.
  *
  * @p fault_sig is the canonical fault-configuration signature
  * (faultSignature, fault_model.hh): empty — the default, and what
@@ -97,9 +96,8 @@ TimingKey makeTimingKey(const Network &net, const MappingPlan &plan,
 
 /**
  * LRU cache of TimingKey → CachedRun. See the file comment for the
- * determinism contract. Not thread-safe: the serving event loop is
- * serial, and worker threads never touch the cache (parallelism
- * lives *inside* MaiccSystem::run, below the memoization point).
+ * determinism contract. Not thread-safe: the serving event loop and
+ * everything below it run on one thread.
  */
 class TimingResultCache : public SimComponent
 {

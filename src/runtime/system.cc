@@ -135,8 +135,7 @@ MaiccSystem::MaiccSystem(const Network &network,
                          const std::vector<Weights4> &w,
                          SystemConfig config)
     : SimComponent("system"), net(network), weights(w),
-      cfg(std::move(config)), llcModel(cfg.llc),
-      pool(std::make_unique<ThreadPool>(cfg.numThreads))
+      cfg(std::move(config)), llcModel(cfg.llc)
 {
     maicc_assert(weights.size() == net.size());
 }
@@ -231,25 +230,20 @@ MaiccSystem::runPool(size_t layer_idx, const Tensor3 &input,
     int out_h = l.outH(), out_w = l.outW();
     timing_out.pixelReady.assign(size_t(out_h) * out_w, 0);
     Cycles pool_cost = Cycles(l.R) * l.S + 10;
-    // Output rows are shard-private: each row's ready time is a
-    // pure function of the (read-only) input timings.
-    pool->forShards(size_t(out_h), [&](size_t, ShardRange rows) {
-        for (size_t oh = rows.begin; oh < rows.end; ++oh) {
-            for (int ow = 0; ow < out_w; ++ow) {
-                Cycles ready = 0;
-                for (int r = 0; r < l.R; ++r) {
-                    for (int s = 0; s < l.S; ++s) {
-                        size_t p =
-                            size_t(oh * l.stride + r) * l.inW
-                            + (ow * l.stride + s);
-                        ready = std::max(ready, input_ready[p]);
-                    }
+    for (int oh = 0; oh < out_h; ++oh) {
+        for (int ow = 0; ow < out_w; ++ow) {
+            Cycles ready = 0;
+            for (int r = 0; r < l.R; ++r) {
+                for (int s = 0; s < l.S; ++s) {
+                    size_t p = size_t(oh * l.stride + r) * l.inW
+                        + (ow * l.stride + s);
+                    ready = std::max(ready, input_ready[p]);
                 }
-                timing_out.pixelReady[oh * out_w + ow] =
-                    ready + pool_cost;
             }
+            timing_out.pixelReady[size_t(oh) * out_w + ow] =
+                ready + pool_cost;
         }
-    });
+    }
 }
 
 LayerRunStats
@@ -289,8 +283,6 @@ MaiccSystem::runLayer(const Segment &seg,
     stats.alloc = alloc;
 
     // --- Data-collection core: in-order vector assembly. ---
-    // Sequential recurrence over dc_free: stays on the calling
-    // thread (DESIGN.md concurrency model, "timing recurrences").
     std::vector<Cycles> avail(in_pixels);
     {
         Cycles dc_free = seg_start;
@@ -354,50 +346,34 @@ MaiccSystem::runLayer(const Segment &seg,
     Cycles consumer_hops = from_dram ? 5 : 2;
     Cycles send_lat =
         Cycles(consumer_hops + 1) * (cfg.noc.routerLatency + 1) + 2;
-    // Output rows are shard-private; the last-output time is a
-    // per-shard maximum merged in shard order at the barrier
-    // (max is order-insensitive, so this is trivially bitwise
-    // identical to the serial pass).
-    size_t t_shards = defaultShards(size_t(out_h));
-    std::vector<Cycles> shard_last(t_shards, seg_start);
-    pool->forShards(size_t(out_h), [&](size_t shard,
-                                       ShardRange rows) {
-        Cycles last = seg_start;
-        for (size_t oh = rows.begin; oh < rows.end; ++oh) {
-            for (int ow = 0; ow < out_w; ++ow) {
-                int x_last = std::min(
-                    l.inH - 1, int(oh) * l.stride + l.R - 1 - l.pad);
-                int y_last = std::min(
-                    l.inW - 1, ow * l.stride + l.S - 1 - l.pad);
-                size_t p_last = size_t(x_last) * l.inW + y_last;
-                Cycles t = done[p_last];
-                if (residual_ready) {
-                    Cycles rr = (*residual_ready)[oh * out_w + ow];
-                    t = std::max(t, std::max(rr, seg_start));
-                }
-                t += cost.auxPerPixel + merge_lat + send_lat;
-                timing_out.pixelReady[oh * out_w + ow] = t;
-                last = std::max(last, t);
-            }
-        }
-        shard_last[shard] = last;
-    });
     Cycles last_out = seg_start;
-    for (Cycles c : shard_last)
-        last_out = std::max(last_out, c);
+    for (int oh = 0; oh < out_h; ++oh) {
+        for (int ow = 0; ow < out_w; ++ow) {
+            int x_last = std::min(l.inH - 1,
+                                  oh * l.stride + l.R - 1 - l.pad);
+            int y_last = std::min(l.inW - 1,
+                                  ow * l.stride + l.S - 1 - l.pad);
+            size_t p_last = size_t(x_last) * l.inW + y_last;
+            size_t o = size_t(oh) * out_w + ow;
+            Cycles t = done[p_last];
+            if (residual_ready)
+                t = std::max(t, std::max((*residual_ready)[o],
+                                         seg_start));
+            t += cost.auxPerPixel + merge_lat + send_lat;
+            timing_out.pixelReady[o] = t;
+            last_out = std::max(last_out, t);
+        }
+    }
     stats.lastOutput = last_out;
 
     // --- Functional compute, partitioned exactly as mapped. ---
     // The output plane is cut into tiles of kTilePixels pixels,
-    // row-major across output rows, and each tile is written by
-    // exactly one shard, so every worker owns a disjoint slice of
-    // `output_out`. The units (node filter fragments) and the NoC
-    // merge of their int32 partial sums fold into one dot product
-    // per (pixel, filter): integer addition is associative and the
-    // sums cannot overflow, so the tensors are bitwise identical to
-    // any split, at any thread count, on any dotTile() body. Every
-    // unit still spends one MAC per in-bound tap. Per-shard MAC
-    // counters are summed in shard order at the barrier.
+    // row-major across output rows. The units (node filter
+    // fragments) and the NoC merge of their int32 partial sums fold
+    // into one dot product per (pixel, filter): integer addition is
+    // associative and the sums cannot overflow, so the tensors are
+    // bitwise identical to any split, on any dotTile() body. Every
+    // unit still spends one MAC per in-bound tap.
     const Weights4 &w = weights[lm.layerIdx];
     const size_t rsc = size_t(l.R) * l.S * l.inC;
     maicc_assert(w.data.size() == size_t(l.outC) * rsc);
@@ -405,42 +381,31 @@ MaiccSystem::runLayer(const Segment &seg,
                  || residual->data.size() == out_pixels * l.outC);
     output_out = Tensor3(out_h, out_w, l.outC);
     const DotTileFn dot = dotTile();
-    const size_t px_tiles = divCeil(out_pixels, size_t(kTilePixels));
-    size_t f_shards = defaultShards(px_tiles);
-    std::vector<uint64_t> shard_macs(f_shards, 0);
-    pool->forShards(px_tiles, [&](size_t shard, ShardRange tiles) {
-        uint64_t taps = 0;
-        std::vector<int8_t> patches(size_t(kTilePixels) * rsc);
-        // Sums a partial tile leaves unwritten keep earlier in-range
-        // sums, so the epilogue's full-width pass stays in range.
-        int32_t sums[kTilePixels * kTileFilters] = {};
-        for (size_t t = tiles.begin; t < tiles.end; ++t) {
-            const size_t q = t * kTilePixels;
-            const int n_px =
-                int(std::min(out_pixels - q, size_t(kTilePixels)));
-            taps += gatherPatches(l, input, q, n_px, patches.data());
-            for (int m = 0; m < l.outC; m += kTileFilters) {
-                int n_flt = std::min(kTileFilters, l.outC - m);
-                dot(patches.data(), n_px, &w.data[size_t(m) * rsc],
-                    n_flt, rsc, sums);
-                for (int p = 0; p < n_px; ++p) {
-                    size_t o = (q + p) * l.outC + m;
-                    auxTileRow(&sums[p * kTileFilters],
-                               residual ? &residual->data[o] : nullptr,
-                               n_flt, l.shift, l.relu,
-                               &output_out.data[o]);
-                }
+    uint64_t taps = 0;
+    std::vector<int8_t> patches(size_t(kTilePixels) * rsc);
+    // Sums a partial tile leaves unwritten keep earlier in-range
+    // sums, so the epilogue's full-width pass stays in range.
+    int32_t sums[kTilePixels * kTileFilters] = {};
+    for (size_t q = 0; q < out_pixels; q += kTilePixels) {
+        const int n_px =
+            int(std::min(out_pixels - q, size_t(kTilePixels)));
+        taps += gatherPatches(l, input, q, n_px, patches.data());
+        for (int m = 0; m < l.outC; m += kTileFilters) {
+            int n_flt = std::min(kTileFilters, l.outC - m);
+            dot(patches.data(), n_px, &w.data[size_t(m) * rsc],
+                n_flt, rsc, sums);
+            for (int p = 0; p < n_px; ++p) {
+                size_t o = (q + p) * l.outC + m;
+                auxTileRow(&sums[p * kTileFilters],
+                           residual ? &residual->data[o] : nullptr,
+                           n_flt, l.shift, l.relu,
+                           &output_out.data[o]);
             }
         }
-        shard_macs[shard] = taps * units;
-    });
-    uint64_t mac_count = 0;
-    for (uint64_t c : shard_macs)
-        mac_count += c;
+    }
+    const uint64_t mac_count = taps * units;
 
     // --- Activity accounting. ---
-    // Mesh-shared state: the merged counters and the LLC model are
-    // only touched here, after the parallel region's barrier.
     auto &act = result.activity;
     unsigned n = l.nBits;
     act.macActivations += mac_count * n * n;

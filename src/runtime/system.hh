@@ -21,20 +21,14 @@
  * in nn/reference.hh — the final fmaps are compared bit-exactly
  * against the reference executor in the tests.
  *
- * Stepping is parallel: between NoC synchronization points each
- * node's CMem and local memory evolve independently, so the
- * functional compute and per-pixel completion passes are sharded
- * over a ThreadPool (SystemConfig::numThreads) and merged at a
- * barrier before the mesh-shared NoC/LLC/DRAM accounting. See
- * DESIGN.md "Concurrency model" for the ownership rules and the
- * determinism contract (bitwise-identical results at any thread
- * count).
+ * The whole simulation runs on the calling thread (DESIGN.md §9
+ * "Single host thread"); the paper's parallelism is the simulated
+ * chip's, not the host's.
  */
 
 #ifndef MAICC_RUNTIME_SYSTEM_HH
 #define MAICC_RUNTIME_SYSTEM_HH
 
-#include <memory>
 #include <vector>
 
 #include "common/sim_component.hh"
@@ -47,7 +41,6 @@
 #include "nn/network.hh"
 #include "nn/reference.hh"
 #include "noc/noc.hh"
-#include "runtime/parallel.hh"
 
 namespace maicc
 {
@@ -70,25 +63,11 @@ struct SystemConfig
     double clockHz = 1e9;
 
     /**
-     * Host threads stepping node shards in parallel (DESIGN.md
-     * "Concurrency model"). Results are bitwise identical at any
-     * value; 1 = fully serial, 0 = hardware concurrency. At most
-     * kMaxNumThreads.
-     */
-    unsigned numThreads = 1;
-
-    /**
-     * Upper bound of numThreads: defaultShards() splits a pass
-     * into at most 64 jobs, so further workers never get work.
-     */
-    static constexpr unsigned kMaxNumThreads = 64;
-
-    /**
      * LRU capacity (entries) of the serving layer's timing-result
      * cache (runtime/sim_cache.hh): memoized service profiles keyed
      * by (network, placement shape, batch, config), replayed
-     * instead of re-simulated. 0 disables memoization. Like
-     * numThreads this is a *host-side* knob: results are bitwise
+     * instead of re-simulated. 0 disables memoization. This is a
+     * *host-side* knob: results are bitwise
      * identical at any value (DESIGN.md §13), only the simulator's
      * own wall-clock changes. `--sim-cache=N` on every bench and
      * example sets it.
@@ -295,7 +274,6 @@ class MaiccSystem : public SimComponent
     const std::vector<Weights4> &weights;
     SystemConfig cfg;
     SimpleCache llcModel;
-    std::unique_ptr<ThreadPool> pool; ///< steps node shards
 
     // Accumulated across run() calls for recordStats().
     uint64_t runsCompleted = 0;

@@ -4,7 +4,7 @@
  * trips, partial overlays, and strict unknown-key / type-mismatch
  * / range errors with usable paths; plus the range checks of the
  * shared command-line front end (common/cli.hh). No case
- * constructs a pool or system with a rejected value.
+ * constructs a system with a rejected value.
  */
 
 #include <cstdlib>
@@ -18,7 +18,6 @@
 #include "common/cli.hh"
 #include "common/config.hh"
 #include "common/json.hh"
-#include "common/logging.hh"
 
 using namespace maicc;
 
@@ -43,35 +42,23 @@ loadError(const std::string &text, SimConfig &cfg)
 }
 
 /**
- * Parse @p args through cli::Options (parse only: nothing runs)
- * with MAICC_THREADS set to @p env_threads (unset when null),
- * restoring the caller's environment afterwards.
- * @return finish()'s verdict and the resolved thread count.
+ * Parse @p args through cli::Options (parse only: nothing runs).
+ * @return finish()'s verdict and the first line it printed to
+ * stderr ("" when it printed nothing).
  */
-std::pair<bool, unsigned>
-parseOptions(std::vector<std::string> args,
-             const char *env_threads = nullptr)
+std::pair<bool, std::string>
+parseOptions(std::vector<std::string> args)
 {
-    const char *old = std::getenv("MAICC_THREADS");
-    std::string saved = old ? old : "";
-    if (env_threads)
-        setenv("MAICC_THREADS", env_threads, 1);
-    else
-        unsetenv("MAICC_THREADS");
-
     args.insert(args.begin(), "test_config");
     std::vector<char *> argv;
     for (std::string &a : args)
         argv.push_back(a.data());
     int argc = int(argv.size());
+    testing::internal::CaptureStderr();
     cli::Options opt("test_config", argc, argv.data());
     bool ok = opt.finish();
-
-    if (old)
-        setenv("MAICC_THREADS", saved.c_str(), 1);
-    else
-        unsetenv("MAICC_THREADS");
-    return {ok, opt.threads()};
+    std::string out = testing::internal::GetCapturedStderr();
+    return {ok, out.substr(0, out.find('\n'))};
 }
 
 } // namespace
@@ -96,7 +83,7 @@ TEST(Config, DumpContainsEverySection)
     const Json *system = j.find("system");
     for (const char *key :
          {"geometry", "noc", "dram", "llc", "coreBudget",
-          "numThreads", "clockHz", "simCacheEntries"})
+          "clockHz", "simCacheEntries"})
         EXPECT_NE(system->find(key), nullptr) << key;
 }
 
@@ -105,11 +92,11 @@ TEST(Config, PartialOverlayKeepsOtherDefaults)
     SimConfig cfg;
     unsigned default_budget = cfg.system.coreBudget;
     std::istringstream in(
-        "{\"system\": {\"numThreads\": 8},"
+        "{\"system\": {\"simCacheEntries\": 8},"
         " \"core\": {\"cmemQueueSize\": 4}}");
     std::string err;
     ASSERT_TRUE(loadConfig(in, cfg, &err)) << err;
-    EXPECT_EQ(cfg.system.numThreads, 8u);
+    EXPECT_EQ(cfg.system.simCacheEntries, 8u);
     EXPECT_EQ(cfg.core.cmemQueueSize, 4u);
     EXPECT_EQ(cfg.system.coreBudget, default_budget);
 }
@@ -423,6 +410,49 @@ TEST(Config, SubUnityNocDegradeFactorIsAnError)
         << err;
 }
 
+TEST(Config, HugeNocDegradeFactorIsAnError)
+{
+    // 1e300 used to load and give every request a 0-cycle latency.
+    SimConfig cfg;
+    EXPECT_EQ(loadError("{\"serving\": {\"faults\": {\"events\":"
+                        " [{\"kind\": \"noc-degrade\", \"until\": 9,"
+                        " \"factor\": 1e300}]}}}",
+                        cfg),
+              "serving.faults.events[0].factor: expected a factor in "
+              "[1, 1000]");
+    EXPECT_EQ(loadError("{\"serving\": {\"faults\": {\"events\":"
+                        " [{\"kind\": \"noc-degrade\", \"until\": 9,"
+                        " \"factor\": 1000}]}}}",
+                        cfg),
+              "");
+}
+
+TEST(Config, HugeFaultRateIsAnErrorWithTheCap)
+{
+    // The cap is on rate x window / 1e6 expected events, with the
+    // window the injector draws over: the arrival span
+    // (offeredRequests x meanInterarrival) unless faults.window
+    // is set.
+    SimConfig cfg;
+    EXPECT_EQ(loadError("{\"serving\": {\"faults\": {\"rate\": 1e300}}}",
+                        cfg),
+              "serving.faults.rate: rate 1e+300 expects 1.6e+301 "
+              "random faults over the 16000000-cycle window (at most "
+              "100000)");
+    EXPECT_EQ(loadError("{\"serving\": {\"offeredRequests\": 2,"
+                        " \"meanInterarrival\": 1000,"
+                        " \"faults\": {\"rate\": 5e7}}}",
+                        cfg),
+              "");
+    EXPECT_EQ(loadError("{\"serving\": {\"offeredRequests\": 2,"
+                        " \"meanInterarrival\": 1000,"
+                        " \"faults\": {\"rate\": 5e7,"
+                        " \"window\": 1000000}}}",
+                        cfg),
+              "serving.faults.rate: rate 5e+07 expects 5e+07 random "
+              "faults over the 1000000-cycle window (at most 100000)");
+}
+
 TEST(Config, UnknownFaultEventKeyIsAnErrorWithPath)
 {
     SimConfig cfg;
@@ -439,10 +469,8 @@ TEST(Config, UnknownFaultEventKeyIsAnErrorWithPath)
 TEST(Config, NegativeCountsAreRangeErrorsNotWraps)
 {
     // Each of these used to load as a wrapped unsigned (-1 became
-    // 4294967295 host threads).
+    // 4294967295).
     const std::pair<const char *, const char *> cases[] = {
-        {"{\"system\": {\"numThreads\": -1}}",
-         "system.numThreads: expected an integer in [0, 64]"},
         {"{\"system\": {\"dramChannels\": -3}}",
          "system.dramChannels: expected an integer in "
          "[1, 4294967295]"},
@@ -455,11 +483,11 @@ TEST(Config, NegativeCountsAreRangeErrorsNotWraps)
          "system.dramChannels: expected an integer in "
          "[1, 4294967295]"},
     };
+    const std::string defaults = dumpToString(SimConfig{});
     for (const auto &[text, want] : cases) {
         SimConfig cfg;
-        unsigned threads = cfg.system.numThreads;
         EXPECT_EQ(loadError(text, cfg), want) << text;
-        EXPECT_EQ(cfg.system.numThreads, threads) << text;
+        EXPECT_EQ(dumpToString(cfg), defaults) << text;
     }
 }
 
@@ -521,48 +549,28 @@ TEST(Config, SizeRangeEndsAreAccepted)
     EXPECT_EQ(cfg.system.noc.queueDepth, 64u);
 }
 
-TEST(Config, MoreThanSixtyFourThreadsIsAnErrorWithTheRange)
+TEST(Config, RemovedNumThreadsKeyIsUnknown)
 {
-    // defaultShards() splits a pass into at most 64 jobs, so more
-    // workers could never get work.
-    SimConfig cfg;
-    EXPECT_EQ(loadError("{\"system\": {\"numThreads\": 65}}", cfg),
-              "system.numThreads: expected an integer in [0, 64]");
-    EXPECT_EQ(cfg.system.numThreads, 1u);
-    EXPECT_EQ(loadError("{\"system\": {\"numThreads\": 64}}", cfg),
-              "");
-    EXPECT_EQ(cfg.system.numThreads, 64u);
-}
-
-TEST(Config, EventEngineKeyLoadsWithOneWarning)
-{
-    // The removed engine selector: its one surviving value still
-    // loads, with a deprecation warning naming the key.
-    bool was_verbose = verbose();
-    setVerbose(true);
-    SimConfig cfg;
-    testing::internal::CaptureStderr();
-    std::string err =
-        loadError("{\"system\": {\"engine\": \"event\"}}", cfg);
-    std::string out = testing::internal::GetCapturedStderr();
-    setVerbose(was_verbose);
-    EXPECT_EQ(err, "");
-    size_t first = out.find("warn:");
-    ASSERT_NE(first, std::string::npos) << out;
-    EXPECT_EQ(out.find("warn:", first + 1), std::string::npos) << out;
-    EXPECT_NE(out.find("system.engine"), std::string::npos) << out;
-}
-
-TEST(Config, TickedEngineKeyIsAnErrorWithPath)
-{
-    for (const char *value : {"\"ticked\"", "\"EVENT\"", "1"}) {
+    // The simulator runs on one host thread; the old knob is
+    // rejected, not silently ignored.
+    for (const char *value : {"8", "1", "0"}) {
         SimConfig cfg;
-        std::string err = loadError(
-            std::string("{\"system\": {\"engine\": ") + value
-                + "}}",
-            cfg);
-        EXPECT_EQ(err, "system.engine: the ticked engine was "
-                       "removed; only \"event\" is accepted")
+        EXPECT_EQ(loadError(std::string("{\"system\": {\"numThreads\": ")
+                                + value + "}}",
+                            cfg),
+                  "system.numThreads: unknown key")
+            << value;
+    }
+}
+
+TEST(Config, RemovedEngineKeyIsUnknown)
+{
+    for (const char *value : {"\"event\"", "\"ticked\"", "1"}) {
+        SimConfig cfg;
+        EXPECT_EQ(loadError(std::string("{\"system\": {\"engine\": ")
+                                + value + "}}",
+                            cfg),
+                  "system.engine: unknown key")
             << value;
     }
 }
@@ -572,19 +580,18 @@ TEST(Config, DumpOmitsTheRemovedEngineKey)
     EXPECT_EQ(toJson(SystemConfig{}).find("engine"), nullptr);
 }
 
-TEST(CliOptions, ThreadsOutOfRangeIsAnError)
+TEST(CliOptions, RemovedThreadsFlagIsUnrecognized)
 {
-    // 4294967297 used to truncate to 1 thread.
-    for (const char *bad :
-         {"--threads=4294967297", "--threads=65", "--threads=-1",
-          "--threads=many"}) {
-        auto [ok, threads] = parseOptions({bad});
-        EXPECT_FALSE(ok) << bad;
-        EXPECT_EQ(threads, 1u) << bad;
+    for (const char *flag : {"--threads=4", "--threads=1"}) {
+        auto [ok, err] = parseOptions({flag});
+        EXPECT_FALSE(ok) << flag;
+        EXPECT_EQ(err, std::string("test_config: unrecognized option: ")
+                           + flag);
     }
-    auto [ok, threads] = parseOptions({"--threads=64"});
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(threads, 64u);
+    // The removed environment variable is not read at all.
+    setenv("MAICC_THREADS", "lots", 1);
+    EXPECT_TRUE(parseOptions({}).first);
+    unsetenv("MAICC_THREADS");
 }
 
 TEST(CliOptions, SimCacheOutOfRangeIsAnError)
@@ -593,17 +600,23 @@ TEST(CliOptions, SimCacheOutOfRangeIsAnError)
     EXPECT_TRUE(parseOptions({"--sim-cache=4294967295"}).first);
 }
 
-TEST(CliOptions, BadMaiccThreadsIsAnError)
+TEST(CliOptions, UnboundedFaultRateIsAnError)
 {
-    // A non-numeric value used to be ignored without a word.
-    for (const char *bad : {"lots", "65", "4294967297"}) {
-        auto [ok, threads] = parseOptions({}, bad);
-        EXPECT_FALSE(ok) << bad;
-        EXPECT_EQ(threads, 1u) << bad;
+    // Each of these used to draw random faults until memory ran
+    // out. The default arrival span is 32 x 500000 cycles.
+    const std::pair<const char *, const char *> cases[] = {
+        {"--fault-rate=inf", "serving.faults.rate: expected a finite "
+                             "rate"},
+        {"--fault-rate=1e12",
+         "serving.faults.rate: rate 1e+12 expects 1.6e+13 random "
+         "faults over the 16000000-cycle window (at most 100000)"},
+    };
+    for (const auto &[flag, want] : cases) {
+        auto [ok, err] = parseOptions({flag});
+        EXPECT_FALSE(ok) << flag;
+        EXPECT_EQ(err, std::string("test_config: ") + want) << flag;
     }
-    auto [ok, threads] = parseOptions({}, "8");
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(threads, 8u);
+    EXPECT_TRUE(parseOptions({"--fault-rate=5"}).first);
 }
 
 TEST(CliOptions, RemovedEngineFlagIsUnrecognized)

@@ -71,8 +71,8 @@ TEST(Stats, DumpContainsNamesAndValues)
 
 TEST(Stats, MergeFromAddsCountersAndSummaries)
 {
-    // The per-thread accumulator pattern: shard-private groups
-    // merged into the owner's group at the barrier.
+    // The replay pattern of the sim cache: a stored group's
+    // deltas merged into a live one.
     StatGroup owner("node");
     owner.counter("macOps").inc(10);
     owner.summary("iter").sample(2.0);

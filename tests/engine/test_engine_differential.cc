@@ -21,8 +21,8 @@
  *    on one event queue;
  *  - MaiccSystem end-to-end runs (streaming segment loop), also
  *    checked layer by layer against the reference executor;
- *  - serving and cluster runs at 1 and 8 host threads with the
- *    timing-result cache off, cold, and warmed by an earlier run
+ *  - serving and cluster runs with the timing-result cache off,
+ *    cold, and warmed by an earlier run
  *    (a warmed cache must replay, not fork new entries);
  *  - hostSeconds publication: absent from default stats dumps
  *    (they are byte-compared against the records), present only
@@ -586,11 +586,9 @@ struct SystemFixture
 };
 
 RunResult
-runSystem(const SystemFixture &m, unsigned threads)
+runSystem(const SystemFixture &m)
 {
-    SystemConfig cfg;
-    cfg.numThreads = threads;
-    MaiccSystem sys(m.net, m.weights, cfg);
+    MaiccSystem sys(m.net, m.weights);
     MappingPlan plan = planMapping(m.net, Strategy::Heuristic, 210);
     return sys.run(plan, m.input);
 }
@@ -602,26 +600,22 @@ TEST(EngineDifferential, SystemRunIdentical)
     SystemFixture m(buildSmallCnn(16, 16, 64), 43);
     auto ref = referenceRun(m.net, m.weights, m.input);
     Golden g("system_run");
-    for (unsigned threads : {1u, 8u}) {
-        SCOPED_TRACE(threads);
-        RunResult e = runSystem(m, threads);
-        // Anchor: every layer matches the functional reference.
-        EXPECT_EQ(e.output().data, ref.final().data);
-        ASSERT_EQ(e.layerOutputs.size(), ref.outputs.size());
-        for (size_t i = 0; i < e.layerOutputs.size(); ++i)
-            EXPECT_EQ(e.layerOutputs[i].data, ref.outputs[i].data)
-                << "layer " << i;
+    RunResult e = runSystem(m);
+    // Anchor: every layer matches the functional reference.
+    EXPECT_EQ(e.output().data, ref.final().data);
+    ASSERT_EQ(e.layerOutputs.size(), ref.outputs.size());
+    for (size_t i = 0; i < e.layerOutputs.size(); ++i)
+        EXPECT_EQ(e.layerOutputs[i].data, ref.outputs[i].data)
+            << "layer " << i;
 
-        std::string k = "threads" + std::to_string(threads) + ".";
-        g.put(k + "totalCycles", e.totalCycles);
-        g.put(k + "nocFlitHops", e.activity.nocFlitHops);
-        g.put(k + "dramAccesses", e.activity.dramAccesses);
-        g.put(k + "segments", e.segments.size());
-        for (size_t i = 0; i < e.segments.size(); ++i)
-            g.put(k + "seg" + std::to_string(i),
-                  std::to_string(e.segments[i].start) + " "
-                      + std::to_string(e.segments[i].end));
-    }
+    g.put("totalCycles", e.totalCycles);
+    g.put("nocFlitHops", e.activity.nocFlitHops);
+    g.put("dramAccesses", e.activity.dramAccesses);
+    g.put("segments", e.segments.size());
+    for (size_t i = 0; i < e.segments.size(); ++i)
+        g.put("seg" + std::to_string(i),
+              std::to_string(e.segments[i].start) + " "
+                  + std::to_string(e.segments[i].end));
     g.check();
 }
 
@@ -629,13 +623,12 @@ namespace
 {
 
 ServingConfig
-servingConfig(unsigned threads, unsigned sim_cache)
+servingConfig(unsigned sim_cache)
 {
     ServingConfig cfg;
     cfg.seed = 11;
     cfg.offeredRequests = 18;
     cfg.meanInterarrival = 80'000;
-    cfg.system.numThreads = threads;
     cfg.system.simCacheEntries = sim_cache;
     return cfg;
 }
@@ -713,30 +706,23 @@ putServing(Golden &g, const std::string &k, const ServingResult &r)
 
 } // namespace
 
-TEST(EngineDifferential, ServingIdenticalAcrossThreadsAndCache)
+TEST(EngineDifferential, ServingIdenticalAcrossCacheStates)
 {
     Workload w;
-    ServingResult ref = runServing(w, servingConfig(1, 0)).first;
+    ServingResult ref = runServing(w, servingConfig(0)).first;
     Golden g("serving");
     putServing(g, "", ref);
 
-    for (unsigned threads : {1u, 8u}) {
-        for (unsigned entries : {0u, 64u}) {
-            SCOPED_TRACE("threads " + std::to_string(threads)
-                         + " cache " + std::to_string(entries));
-            TimingResultCache cache(entries);
-            TimingResultCache *cp = entries ? &cache : nullptr;
-            auto [r, json] = runServing(
-                w, servingConfig(threads, entries), cp);
-            expectIdenticalResults(r, ref, "vs reference");
-            // The serving registry dump matches the record byte
-            // for byte at every thread count and cache state —
-            // simulated results are cache-oblivious (DESIGN.md
-            // §13).
-            g.put("threads" + std::to_string(threads) + ".cache"
-                      + std::to_string(entries) + ".registry",
-                  json);
-        }
+    for (unsigned entries : {0u, 64u}) {
+        SCOPED_TRACE("cache " + std::to_string(entries));
+        TimingResultCache cache(entries);
+        TimingResultCache *cp = entries ? &cache : nullptr;
+        auto [r, json] = runServing(w, servingConfig(entries), cp);
+        expectIdenticalResults(r, ref, "vs reference");
+        // The serving registry dump matches the record byte for
+        // byte in every cache state — simulated results are
+        // cache-oblivious (DESIGN.md §13).
+        g.put("cache" + std::to_string(entries) + ".registry", json);
     }
     g.check();
 }
@@ -748,11 +734,11 @@ TEST(EngineDifferential, ServingCacheWarmedReplays)
     Workload w;
     TimingResultCache cache(64);
     ServingResult warm =
-        runServing(w, servingConfig(1, 64), &cache).first;
+        runServing(w, servingConfig(64), &cache).first;
     uint64_t insertions = cache.insertions();
     ASSERT_GT(insertions, 0u);
     ServingResult replay =
-        runServing(w, servingConfig(1, 64), &cache).first;
+        runServing(w, servingConfig(64), &cache).first;
     EXPECT_EQ(cache.insertions(), insertions)
         << "replay forked new cache entries";
     expectIdenticalResults(warm, replay, "warmed vs replayed");
@@ -766,7 +752,7 @@ TEST(EngineDifferential, ClusterMatchesGolden)
     Golden g("cluster");
     for (unsigned chips : {3u, 4u}) {
         SCOPED_TRACE("chips " + std::to_string(chips));
-        ServingConfig cfg = servingConfig(1, 0);
+        ServingConfig cfg = servingConfig(0);
         cfg.chips = chips;
 
         SimContext ctx;
@@ -789,7 +775,7 @@ TEST(EngineDifferential, HostSecondsOptInOnly)
 {
     Workload w;
     SimContext ctx;
-    auto sim = w.simulator(servingConfig(1, 0));
+    auto sim = w.simulator(servingConfig(0));
     sim->attachTo(ctx);
     sim->run();
 

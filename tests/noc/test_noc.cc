@@ -265,59 +265,3 @@ TEST(MeshNoc, RoundRobinIsFairUnderBackpressure)
     EXPECT_GE(std::min(from_a, from_b),
               (from_a + from_b) / 4);
 }
-
-TEST(ShardedInjector, CommitMatchesSerialInjectionExactly)
-{
-    // Staged-and-committed traffic must be indistinguishable from
-    // a serial run that visited shards in order: same packet ids,
-    // same delivery order, same flit-hop count.
-    NocConfig cfg;
-    auto make = [&](MeshNoc &noc, uint64_t tag, int sx, int dx) {
-        Packet p;
-        p.src = noc.nodeId(sx, 2);
-        p.dst = noc.nodeId(dx, 9);
-        p.sizeFlits = 1 + unsigned(tag % 9);
-        p.tag = tag;
-        return p;
-    };
-
-    MeshNoc serial(cfg);
-    for (uint64_t t = 0; t < 24; ++t)
-        serial.inject(make(serial, t, int(t % 16),
-                           int((t * 5) % 16)));
-    serial.drain();
-
-    MeshNoc staged_noc(cfg);
-    ShardedInjector inj(4);
-    // Stage in interleaved order but with shard = t / 6, so the
-    // commit order (shard 0 first) equals the serial order.
-    for (uint64_t t = 0; t < 24; ++t)
-        inj.stage(t / 6, make(staged_noc, t, int(t % 16),
-                              int((t * 5) % 16)));
-    EXPECT_EQ(inj.commit(staged_noc), 24u);
-    staged_noc.drain();
-
-    EXPECT_EQ(staged_noc.flitHops(), serial.flitHops());
-    EXPECT_EQ(staged_noc.now(), serial.now());
-    for (int n = 0; n < cfg.width * cfg.height; ++n) {
-        auto &a = serial.delivered(n);
-        auto &b = staged_noc.delivered(n);
-        ASSERT_EQ(a.size(), b.size()) << "node " << n;
-        for (size_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(a[i].id, b[i].id);
-            EXPECT_EQ(a[i].tag, b[i].tag);
-        }
-    }
-}
-
-TEST(ShardedInjector, CommitClearsStage)
-{
-    MeshNoc noc;
-    ShardedInjector inj(2);
-    Packet p;
-    p.src = 0;
-    p.dst = 5;
-    inj.stage(1, p);
-    EXPECT_EQ(inj.commit(noc), 1u);
-    EXPECT_EQ(inj.commit(noc), 0u);
-}

@@ -7,8 +7,8 @@
  *    aggregate is bitwise identical to a plain ServingSimulator run
  *    and its --stats-json registry dump is *byte*-identical (the
  *    legacy component layout);
- *  - multi-chip runs are bitwise deterministic across host thread
- *    counts and with the timing-result cache off/cold/warm, for
+ *  - multi-chip runs are bitwise deterministic across reruns and
+ *    with the timing-result cache off/cold/warm, for
  *    every dispatch policy;
  *  - dispatch mechanics: round-robin spreads a simultaneous burst
  *    cyclically, shard masks pin models to their registered chips,
@@ -114,7 +114,7 @@ TEST(Cluster, SingleChipAttachUsesLegacyComponentLayout)
     EXPECT_EQ(ctx.find("cluster"), nullptr);
 }
 
-TEST(Cluster, MultiChipBitwiseDeterministicAcrossThreadsAndCache)
+TEST(Cluster, MultiChipBitwiseDeterministicAcrossRerunsAndCache)
 {
     Workload w;
     const ShardPolicy policies[] = {ShardPolicy::RoundRobin,
@@ -128,15 +128,12 @@ TEST(Cluster, MultiChipBitwiseDeterministicAcrossThreadsAndCache)
         cfg.queueCapacity = 3; // force some dispatcher rejections
         cfg.sloCycles = 400'000;
 
-        auto [serial, serial_json] = runCluster(w, cfg);
-        ASSERT_GT(serial.aggregate.completed, 0u);
+        auto [base, base_json] = runCluster(w, cfg);
+        ASSERT_GT(base.aggregate.completed, 0u);
 
-        ServingConfig threads8 = cfg;
-        threads8.system.numThreads = 8;
-        auto [parallel, parallel_json] = runCluster(w, threads8);
-        expectIdenticalClusterResults(serial, parallel,
-                                      "8 threads");
-        EXPECT_EQ(serial_json, parallel_json);
+        auto [rerun, rerun_json] = runCluster(w, cfg);
+        expectIdenticalClusterResults(base, rerun, "rerun");
+        EXPECT_EQ(base_json, rerun_json);
 
         ServingConfig cached = cfg;
         cached.system.simCacheEntries = 32;
@@ -145,10 +142,10 @@ TEST(Cluster, MultiChipBitwiseDeterministicAcrossThreadsAndCache)
         EXPECT_GT(cache.insertions(), 0u);
         auto [warm, warm_json] = runCluster(w, cached, &cache);
         EXPECT_GT(cache.hits(), 0u);
-        expectIdenticalClusterResults(serial, cold, "cache cold");
-        expectIdenticalClusterResults(serial, warm, "cache warm");
-        EXPECT_EQ(serial_json, cold_json);
-        EXPECT_EQ(serial_json, warm_json);
+        expectIdenticalClusterResults(base, cold, "cache cold");
+        expectIdenticalClusterResults(base, warm, "cache warm");
+        EXPECT_EQ(base_json, cold_json);
+        EXPECT_EQ(base_json, warm_json);
     }
 }
 

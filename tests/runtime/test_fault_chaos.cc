@@ -12,9 +12,10 @@
  *  - causality holds for every disposition (a dropped request
  *    carries no admission stamps, a completed one obeys
  *    arrival <= start <= finish);
- *  - a fixed (serving seed, fault seed) pair is bitwise identical
- *    across host thread counts — the fault schedule is a pure
- *    function of the config, never of execution timing;
+ *  - a fixed (serving seed, fault seed) pair gives bitwise identical
+ *    results and stats dumps on two fresh simulators — the fault
+ *    schedule is a pure function of the config, and no hidden
+ *    global state carries over from one run to the next;
  *  - the per-model queued counts that gate admission stay exact
  *    (recounted under selfCheck at every event) while timeouts,
  *    core loss and fail-stop pull requests out of the queue.
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "check/invariants.hh"
+#include "common/json.hh"
 #include "common/random.hh"
 #include "common/seeded_test.hh"
 #include "common/serving_fixtures.hh"
@@ -83,13 +85,18 @@ randomFaults(Rng &rng, unsigned chips, unsigned dram_channels,
     return fc;
 }
 
+/** One cluster run; its stats-JSON dump goes to @p dump if set. */
 ClusterResult
-runOnce(const Workload &w, const ServingConfig &cfg)
+runOnce(const Workload &w, const ServingConfig &cfg,
+        std::string *dump = nullptr)
 {
     SimContext ctx;
     auto c = w.cluster(cfg);
     c->attach(ctx);
-    return c->run();
+    ClusterResult r = c->run();
+    if (dump)
+        *dump = ctx.statsToJson().dump();
+    return r;
 }
 
 } // namespace
@@ -108,8 +115,7 @@ TEST(FaultChaos, NoRequestLostUnderRandomSchedules)
         cfg.meanInterarrival = 20'000 + rng.below(120'000);
         cfg.maxBatch = 1 + unsigned(rng.below(3));
         cfg.selfCheck = true;
-        Cycles span =
-            Cycles(cfg.offeredRequests) * cfg.meanInterarrival;
+        Cycles span = cfg.arrivalSpan();
         cfg.faults = randomFaults(rng, cfg.chips,
                                   cfg.system.dramChannels, span);
         if (rng.below(2)) {
@@ -144,7 +150,7 @@ TEST(FaultChaos, NoRequestLostUnderRandomSchedules)
     }
 }
 
-TEST(FaultChaos, FixedSeedsBitwiseIdenticalAcrossThreadCounts)
+TEST(FaultChaos, FixedSeedsBitwiseIdenticalAcrossReruns)
 {
     Workload w;
     for (uint64_t seed : testseed::seeds({7, 99})) {
@@ -162,16 +168,16 @@ TEST(FaultChaos, FixedSeedsBitwiseIdenticalAcrossThreadCounts)
         cfg.backoffCycles = 20'000;
         cfg.shedQueueDepth = 24;
 
-        cfg.system.numThreads = 1;
-        ClusterResult a = runOnce(w, cfg);
-        cfg.system.numThreads = 8;
-        ClusterResult b = runOnce(w, cfg);
+        std::string dump_a, dump_b;
+        ClusterResult a = runOnce(w, cfg, &dump_a);
+        ClusterResult b = runOnce(w, cfg, &dump_b);
         expectIdenticalResults(a.aggregate, b.aggregate,
-                               "aggregate 1 vs 8 threads");
+                               "aggregate, second simulator");
         ASSERT_EQ(a.shards.size(), b.shards.size());
         for (size_t i = 0; i < a.shards.size(); ++i)
             expectIdenticalResults(a.shards[i], b.shards[i],
                                    "shard");
+        EXPECT_EQ(dump_a, dump_b);
     }
 }
 

@@ -10,12 +10,14 @@
  *  - a chip fail-stop mid-run recovers via cross-chip failover:
  *    zero lost requests, the conservation rule green, the dead
  *    shard excluded from every later dispatch;
- *  - a fixed fault seed is bitwise deterministic across host
- *    thread counts and sim-cache states;
+ *  - a fixed fault seed is bitwise deterministic across two fresh
+ *    simulators and sim-cache states;
  *  - core-loss shrinks the budget, kills the intersecting batches,
  *    and the run still completes;
  *  - a DRAM-channel outage scales service latency by exactly
  *    channels / (channels - count) inside its window;
+ *  - stacked noc-degrade windows whose product overflows to inf
+ *    saturate the service time instead of wrapping it to 0;
  *  - queueing timeouts consume the bounded retry budget and then
  *    drop the request as timed-out with its stamps cleared;
  *  - overload shedding gates fresh arrivals at the configured
@@ -199,7 +201,7 @@ TEST(Faults, ChipFailStopFailsOverWithNoLostRequests)
     EXPECT_NE(json.find("\"cluster.chip1\""), std::string::npos);
 }
 
-TEST(Faults, FixedFaultSeedBitwiseDeterministicAcrossThreads)
+TEST(Faults, FixedFaultSeedBitwiseDeterministicAcrossReruns)
 {
     Workload w;
     ServingConfig cfg = baseConfig();
@@ -210,16 +212,16 @@ TEST(Faults, FixedFaultSeedBitwiseDeterministicAcrossThreads)
     cfg.backoffCycles = 10'000;
     cfg.shedQueueDepth = 32;
 
-    cfg.system.numThreads = 1;
+    // Two fresh simulators: hidden global state (the global sim
+    // cache, a static RNG) would make the second run differ.
     auto [r1, json1] = runCluster(w, cfg);
-    cfg.system.numThreads = 8;
-    auto [r8, json8] = runCluster(w, cfg);
-    ASSERT_EQ(r1.shards.size(), r8.shards.size());
-    expectIdenticalResults(r1.aggregate, r8.aggregate,
-                           "1 vs 8 threads");
+    auto [r2, json2] = runCluster(w, cfg);
+    ASSERT_EQ(r1.shards.size(), r2.shards.size());
+    expectIdenticalResults(r1.aggregate, r2.aggregate,
+                           "first vs second simulator");
     for (size_t i = 0; i < r1.shards.size(); ++i)
-        expectIdenticalResults(r1.shards[i], r8.shards[i], "shard");
-    EXPECT_EQ(json1, json8);
+        expectIdenticalResults(r1.shards[i], r2.shards[i], "shard");
+    EXPECT_EQ(json1, json2);
 
     // And with the timing-result cache on (cold then warm).
     cfg.system.simCacheEntries = 64;
@@ -227,13 +229,13 @@ TEST(Faults, FixedFaultSeedBitwiseDeterministicAcrossThreads)
     auto [rc, jsonc] = runCluster(w, cfg, &cache);
     auto [rw, jsonw] = runCluster(w, cfg, &cache);
     EXPECT_GT(cache.hits(), 0u);
-    expectIdenticalResults(r8.aggregate, rc.aggregate,
+    expectIdenticalResults(r1.aggregate, rc.aggregate,
                            "cache off vs cold");
-    expectIdenticalResults(r8.aggregate, rw.aggregate,
+    expectIdenticalResults(r1.aggregate, rw.aggregate,
                            "cache off vs warm");
-    EXPECT_EQ(json8, jsonc);
-    EXPECT_EQ(json8, jsonw);
-    expectConserved(r8.aggregate);
+    EXPECT_EQ(json1, jsonc);
+    EXPECT_EQ(json1, jsonw);
+    expectConserved(r1.aggregate);
 }
 
 TEST(Faults, CoreLossKillsVictimsAndRunStillCompletes)
@@ -281,6 +283,40 @@ TEST(Faults, DramOutageScalesServiceLatencyByChannelRatio)
     EXPECT_EQ(slow.minServiceLatency,
               2 * clean.minServiceLatency);
     expectConserved(slow);
+}
+
+TEST(Faults, StackedNocDegradeSaturatesServiceTime)
+{
+    // Each factor is in bounds, but 120 overlapping windows
+    // multiply to inf. The scaled service time used to take an
+    // out-of-range cast and came out as 0 cycles; it now
+    // saturates, so every request finishes at the end of time.
+    Workload w;
+    ServingConfig cfg = baseConfig();
+    for (int i = 0; i < 120; ++i) {
+        FaultEvent e;
+        e.kind = FaultKind::NocDegrade;
+        e.factor = kMaxNocDegradeFactor;
+        cfg.faults.events.push_back(e);
+    }
+    std::string err;
+    ASSERT_TRUE(validateFaultConfig(cfg.faults, 1,
+                                    cfg.system.dramChannels,
+                                    cfg.arrivalSpan(), &err))
+        << err;
+
+    ServingResult r = w.simulator(cfg)->run();
+    EXPECT_EQ(r.faultNocDegrade, 120u);
+    const Cycles end_of_time = Cycles(1) << 63;
+    ASSERT_GT(r.completed, 0u);
+    for (const RequestRecord &q : r.requests) {
+        if (q.completed) {
+            EXPECT_EQ(q.finish, end_of_time) << "req " << q.id;
+        }
+    }
+    EXPECT_GT(r.p50, end_of_time / 2);
+    EXPECT_GT(r.minServiceLatency, end_of_time / 2);
+    expectConserved(r);
 }
 
 TEST(Faults, QueueTimeoutRetriesThenDropsWithStampsCleared)
@@ -393,6 +429,21 @@ TEST(Faults, InjectorScheduleIsAPureFunctionOfConfig)
         differs = a.schedule()[i].cycle != c.schedule()[i].cycle;
     }
     EXPECT_TRUE(differs);
+}
+
+TEST(Faults, InjectorChecksTheRateAgainstItsOwnWindow)
+{
+    // A binary may stretch the arrival stream after the front end
+    // validated the rate; the injector repeats the check over the
+    // window it draws over and exits with the message instead of
+    // drawing a million events.
+    FaultConfig fc;
+    fc.rate = 1000.0;
+    EXPECT_FALSE(FaultInjector(fc, 1, 32, 1'000'000).schedule().empty());
+    EXPECT_EXIT(FaultInjector(fc, 1, 32, 1'000'000'000),
+                testing::ExitedWithCode(1),
+                "serving.faults.rate: rate 1000 expects 1e\\+06 random "
+                "faults over the 1000000000-cycle window");
 }
 
 TEST(Faults, TimingKeyIncorporatesFaultSignature)

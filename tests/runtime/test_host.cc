@@ -96,6 +96,29 @@ TEST(HostScheduler, AggregateIsSumOfRegions)
     EXPECT_NEAR(r.aggregateThroughput, sum, 1e-9);
 }
 
+TEST(HostScheduler, ScheduledRegionsMatchReference)
+{
+    // The growth loop feeds earlier simulations into later
+    // decisions; whatever plan it settles on must still compute
+    // the reference tensors.
+    HostFixture f;
+    HostScheduler host(210);
+    host.addTask({"camera", &f.cnn_a, &f.wa, &f.in_a, 3.0});
+    host.addTask({"radar", &f.cnn_b, &f.wb, &f.in_b, 1.0});
+    HostScheduleResult r = host.schedule();
+    ASSERT_EQ(r.regions.size(), 2u);
+    for (const auto &ra : r.regions) {
+        SCOPED_TRACE(ra.taskIdx);
+        const bool camera = ra.taskIdx == 0;
+        const Network &net = camera ? f.cnn_a : f.cnn_b;
+        const auto &w = camera ? f.wa : f.wb;
+        const Tensor3 &in = camera ? f.in_a : f.in_b;
+        MaiccSystem sys(net, w);
+        EXPECT_EQ(sys.run(ra.plan, in).output().data,
+                  referenceRun(net, w, in).final().data);
+    }
+}
+
 TEST(Precision, SetPrecisionDrivesCapacity)
 {
     Network net = buildResNet18();

@@ -3,8 +3,8 @@
  * The int8 dot-product tile (runtime/int8_dot.hh): every body against
  * an int64 scalar dot product, over every length up to 600, the R*S*C
  * sizes of ResNet18, every tile shape (1..16 pixels x 1..16 filters),
- * full-range operands including the all -128 extreme, and calls from
- * eight threads at once. The AMX and AVX2 cases skip, saying so, on a
+ * full-range operands including the all -128 extreme, and 64 random
+ * tile shapes called back to back. The AMX and AVX2 cases skip, saying so, on a
  * host that cannot run them, so the portable body is tested on every
  * host; DotTileDispatch prints which bodies this host runs.
  *
@@ -27,7 +27,6 @@
 #include "common/random.hh"
 #include "common/seeded_test.hh"
 #include "runtime/int8_dot.hh"
-#include "runtime/parallel.hh"
 
 using namespace maicc;
 
@@ -207,13 +206,13 @@ class BodyTest : public ::testing::Test
     }
 
     void
-    fromEightThreads()
+    randomShapesInSequence()
     {
         uint64_t seed = testseed::seedOrDefault(23);
         MAICC_SEED_TRACE(seed);
-        // Tile state is per thread: eight workers run tiles of
-        // different shapes at once, and every result must equal the
-        // scalar dot product.
+        // Tiles of different shapes run back to back on one thread,
+        // and every result must equal the scalar dot product: no
+        // tile configuration outlives the call that loaded it.
         constexpr size_t kJobs = 64;
         struct Job
         {
@@ -233,14 +232,12 @@ class BodyTest : public ::testing::Test
             job.flt = fullRange(rng, job.n_flt * job.len);
             job.sums.assign(kTilePixels * kTileFilters, kUntouched);
         }
-        ThreadPool pool(8);
-        pool.run(kJobs, [&](size_t j) {
-            Job &job = jobs[j];
+        for (Job &job : jobs) {
             for (int rep = 0; rep < 8; ++rep) {
                 body(job.px.data(), job.n_px, job.flt.data(),
                      job.n_flt, job.len, job.sums.data());
             }
-        });
+        }
         for (const Job &job : jobs) {
             for (int p = 0; p < job.n_px; ++p) {
                 for (int f = 0; f < job.n_flt; ++f) {
@@ -287,13 +284,13 @@ TEST_P(DotTile, EveryLengthUpTo600) { everyLengthUpTo600(); }
 TEST_P(DotTile, ResNet18FilterSizes) { resNet18FilterSizes(); }
 TEST_P(DotTile, EdgeTiles) { edgeTiles(); }
 TEST_P(DotTile, ExtremeOperands) { extremeOperands(); }
-TEST_P(DotTile, FromEightThreads) { fromEightThreads(); }
+TEST_P(DotTile, RandomShapesInSequence) { randomShapesInSequence(); }
 
 TEST_F(DotTileAmx, EveryLengthUpTo600) { everyLengthUpTo600(); }
 TEST_F(DotTileAmx, ResNet18FilterSizes) { resNet18FilterSizes(); }
 TEST_F(DotTileAmx, EdgeTiles) { edgeTiles(); }
 TEST_F(DotTileAmx, ExtremeOperands) { extremeOperands(); }
-TEST_F(DotTileAmx, FromEightThreads) { fromEightThreads(); }
+TEST_F(DotTileAmx, RandomShapesInSequence) { randomShapesInSequence(); }
 
 INSTANTIATE_TEST_SUITE_P(
     Bodies, DotTile, ::testing::Values(false, true),

