@@ -72,6 +72,7 @@
 #include "common/cli.hh"
 #include "common/json.hh"
 #include "common/table.hh"
+#include "fault/fault_model.hh"
 #include "runtime/cluster.hh"
 #include "runtime/serving.hh"
 #include "runtime/sim_cache.hh"
@@ -129,6 +130,26 @@ main(int argc, char **argv)
         cfg.maxBatch = unsigned(batch);
     if (!opt.hasConfigFile())
         cfg.queueCapacity = 1u << 20; // sweep w/o admission control
+
+    // Mean inter-arrival gaps from idle to saturated; one seeded
+    // uniform stream scaled by the gap couples the sweep points, so
+    // the latency curve is monotone by construction.
+    const Cycles gaps[] = {2'000'000, 800'000, 300'000, 100'000,
+                           30'000, 8'000};
+    const size_t n_gaps = sizeof(gaps) / sizeof(gaps[0]);
+
+    // The front end checked the fault rate against the config's own
+    // arrival span; the sweep's widest point spans gaps[0] per
+    // request, so check the rate against that before any run.
+    std::string fault_err;
+    if (arrivals.empty()
+        && !validateFaultConfig(
+            cfg.faults, std::max(1u, cfg.chips),
+            cfg.system.dramChannels,
+            Cycles(cfg.offeredRequests) * gaps[0], &fault_err)) {
+        std::fprintf(stderr, "bench_serving: %s\n", fault_err.c_str());
+        return 2;
+    }
 
     // The served mix: two CNN sizes, the larger twice as popular.
     Network camera = buildSmallCnn(16, 16, 64);
@@ -189,13 +210,6 @@ main(int argc, char **argv)
         t.print(std::cout);
         return opt.writeStats(ctx) ? 0 : 1;
     }
-
-    // Mean inter-arrival gaps from idle to saturated; one seeded
-    // uniform stream scaled by the gap couples the sweep points, so
-    // the latency curve is monotone by construction.
-    const Cycles gaps[] = {2'000'000, 800'000, 300'000, 100'000,
-                           30'000, 8'000};
-    const size_t n_gaps = sizeof(gaps) / sizeof(gaps[0]);
 
     // One full sweep under @p cache_entries; rows land in @p table
     // when non-null (the printed table comes from the authoritative

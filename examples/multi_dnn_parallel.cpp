@@ -119,7 +119,7 @@ main(int argc, char **argv)
 
     // The host CPU's automatic partitioner (paper §3.1 / §8):
     // admit both models, let the host size the regions.
-    HostScheduler host(210);
+    HostScheduler host(210, g_scfg);
     host.addTask({"camera", &detector.net, &detector.weights,
                   &detector.input, 3.0}); // camera is hotter
     host.addTask({"radar", &policy.net, &policy.weights,

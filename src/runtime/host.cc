@@ -31,9 +31,10 @@ namespace
 {
 
 double
-simulateLatencyMs(const ModelTask &task, unsigned cores)
+simulateLatencyMs(const ModelTask &task, unsigned cores,
+                  const SystemConfig &cfg)
 {
-    MaiccSystem sys(*task.net, *task.weights);
+    MaiccSystem sys(*task.net, *task.weights, cfg);
     MappingPlan plan =
         planMapping(*task.net, Strategy::Heuristic, cores);
     return sys.run(plan, *task.input).latencyMs();
@@ -63,7 +64,7 @@ HostScheduler::schedule()
     std::vector<double> latency(tasks.size(), 0.0);
     for (size_t i = 0; i < tasks.size(); ++i) {
         if (region[i])
-            latency[i] = simulateLatencyMs(tasks[i], region[i]);
+            latency[i] = simulateLatencyMs(tasks[i], region[i], cfg);
     }
 
     // Growth: hand leftover cores to the worst demand-weighted
@@ -84,7 +85,7 @@ HostScheduler::schedule()
         if (worst < 0)
             break;
         unsigned grown = region[worst] + chunk;
-        double lat = simulateLatencyMs(tasks[worst], grown);
+        double lat = simulateLatencyMs(tasks[worst], grown, cfg);
         free_cores -= chunk;
         if (lat < latency[worst]) {
             region[worst] = grown;

@@ -67,13 +67,14 @@ struct HostScheduleResult
 
 /**
  * The host's admission + partitioning policy over one array of
- * @p array_cores compute cores.
+ * @p array_cores compute cores, each region simulated under @p cfg.
  */
 class HostScheduler
 {
   public:
-    explicit HostScheduler(unsigned array_cores = 210)
-        : arrayCores(array_cores)
+    explicit HostScheduler(unsigned array_cores = 210,
+                           SystemConfig cfg = SystemConfig{})
+        : arrayCores(array_cores), cfg(cfg)
     {
     }
 
@@ -93,6 +94,7 @@ class HostScheduler
 
   private:
     unsigned arrayCores;
+    SystemConfig cfg;
     std::vector<ModelTask> tasks;
 };
 

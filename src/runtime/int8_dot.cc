@@ -1,6 +1,9 @@
 #include "runtime/int8_dot.hh"
 
 #include <algorithm>
+#include <vector>
+
+#include "nn/tensor.hh"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -39,13 +42,33 @@ struct RegTile
     }
 };
 
+/** A block's output rows and the aux functions that fill them. */
+struct Outputs
+{
+    const int8_t *res;
+    unsigned shift;
+    bool relu;
+    int8_t *out;
+    int stride; ///< n_flt: bytes per output (and residual) row
+
+    /** Finish output @p o from its dot product @p sum. */
+    void
+    put(size_t o, int32_t sum) const
+    {
+        if (res)
+            sum += int32_t(res[o]) << shift;
+        out[o] = requantize(sum, shift, relu);
+    }
+};
+
 /**
  * Add the scalar products of [k, len) to the register tile's @p acc
- * and store its in-range sums (row stride kTileFilters).
+ * and finish its in-range outputs, the first at row-major offset
+ * @p o0 of @p outs.
  */
 void
 finishRegTile(const RegTile &t, int n_px, int n_flt, size_t k,
-              size_t len, int32_t *acc, int32_t *sums)
+              size_t len, int32_t *acc, const Outputs &outs, size_t o0)
 {
     for (; k < len; ++k) {
         for (int p = 0; p < kRegPixels; ++p) {
@@ -56,19 +79,22 @@ finishRegTile(const RegTile &t, int n_px, int n_flt, size_t k,
         }
     }
     for (int p = 0; p < n_px; ++p) {
-        for (int f = 0; f < n_flt; ++f)
-            sums[p * kTileFilters + f] = acc[p * kRegFilters + f];
+        for (int f = 0; f < n_flt; ++f) {
+            outs.put(o0 + size_t(p) * outs.stride + f,
+                     acc[p * kRegFilters + f]);
+        }
     }
 }
 
-/** A register-tile body: the in-range sums of one RegTile. */
+/** A register-tile body: the in-range outputs of one RegTile. */
 using RegTileFn = void (*)(const RegTile &t, int n_px, int n_flt,
-                           size_t len, int32_t *sums);
+                           size_t len, const Outputs &outs, size_t o0);
 
-/** Run @p reg_tile over the register tiles of one tile. */
+/** Run @p reg_tile over the register tiles of one block. */
 void
 forEachRegTile(RegTileFn reg_tile, const int8_t *px, int n_px,
-               const int8_t *flt, int n_flt, size_t len, int32_t *sums)
+               const int8_t *flt, int n_flt, size_t len,
+               const Outputs &outs)
 {
     for (int p = 0; p < n_px; p += kRegPixels) {
         for (int f = 0; f < n_flt; f += kRegFilters) {
@@ -76,17 +102,18 @@ forEachRegTile(RegTileFn reg_tile, const int8_t *px, int n_px,
             int n_rf = std::min(kRegFilters, n_flt - f);
             RegTile t(px + size_t(p) * len, n_rp,
                       flt + size_t(f) * len, n_rf, len);
-            reg_tile(t, n_rp, n_rf, len, sums + p * kTileFilters + f);
+            reg_tile(t, n_rp, n_rf, len, outs,
+                     size_t(p) * n_flt + f);
         }
     }
 }
 
 void
 regTilePortable(const RegTile &t, int n_px, int n_flt, size_t len,
-                int32_t *sums)
+                const Outputs &outs, size_t o0)
 {
     int32_t acc[kRegPixels * kRegFilters] = {};
-    finishRegTile(t, n_px, n_flt, 0, len, acc, sums);
+    finishRegTile(t, n_px, n_flt, 0, len, acc, outs, o0);
 }
 
 #ifdef MAICC_HAVE_AVX2_BODY
@@ -100,7 +127,7 @@ widen16(const int8_t *p)
 
 __attribute__((target("avx2"))) void
 regTileAvx2(const RegTile &t, int n_px, int n_flt, size_t len,
-            int32_t *sums)
+            const Outputs &outs, size_t o0)
 {
     // Accumulator sPF holds pixel P against filter F.
     __m256i s00 = _mm256_setzero_si256(), s01 = s00, s10 = s00,
@@ -139,14 +166,16 @@ regTileAvx2(const RegTile &t, int n_px, int n_flt, size_t len,
     // instruction of the process (measured: the cluster event loop
     // ran 19% slower after one ResNet18 pass).
     _mm256_zeroupper();
-    finishRegTile(t, n_px, n_flt, k, len, acc, sums);
+    finishRegTile(t, n_px, n_flt, k, len, acc, outs, o0);
 }
 
 void
-dotTileAvx2Body(const int8_t *px, int n_px, const int8_t *flt,
-                int n_flt, size_t len, int32_t *sums)
+dotBlockAvx2Body(const int8_t *px, int n_px, const int8_t *flt,
+                 int n_flt, size_t len, const int8_t *res,
+                 unsigned shift, bool relu, int8_t *out)
 {
-    forEachRegTile(regTileAvx2, px, n_px, flt, n_flt, len, sums);
+    forEachRegTile(regTileAvx2, px, n_px, flt, n_flt, len,
+                   Outputs{res, shift, relu, out, n_flt});
 }
 
 #endif // MAICC_HAVE_AVX2_BODY
@@ -181,6 +210,8 @@ keepStores(const void *p)
 }
 
 constexpr size_t kChunk = 64; ///< K bytes per _tile_dpbssd
+constexpr int kTilePixels = 16;  ///< pixels (C columns) per tile
+constexpr int kTileFilters = 16; ///< filters (A and C rows) per tile
 
 /**
  * Transpose a 16 x 16 matrix of 32-bit elements, one row per vector.
@@ -249,64 +280,153 @@ loadChunk(const int8_t *rows, int n, size_t len, size_t k,
     }
 }
 
-__attribute__((target("amx-tile,amx-int8,avx512f,avx512bw"))) void
-dotTileAmxBody(const int8_t *px, int n_px, const int8_t *flt,
-               int n_flt, size_t len, int32_t *sums)
+/** One 16-pixel x 64-byte K chunk of patches in VNNI layout. */
+struct alignas(64) VnniTile
 {
-    // tmm0 = C [filter][pixel] int32, tmm1 = A (filter rows, one K
-    // chunk), tmm2 = B (one K chunk of the patches, VNNI layout:
-    // row g holds bytes 4g..4g+3 of every pixel).
-    TileConfig cfg;
-    cfg.rows[0] = uint8_t(n_flt);
-    cfg.colsb[0] = kTilePixels * 4;
-    cfg.rows[1] = uint8_t(n_flt);
-    cfg.colsb[1] = kChunk;
-    cfg.rows[2] = kChunk / 4;
-    cfg.colsb[2] = kTilePixels * 4;
-    keepStores(&cfg);
-    _tile_loadconfig(&cfg);
-    _tile_zero(0);
+    int8_t rows[kChunk / 4][kTilePixels * 4];
+};
 
+/**
+ * Finish the outputs of one pixel tile for one filter group from its
+ * `[filter][pixel]` accumulator @p acc: transpose it to
+ * `[pixel][filter]`, then residual add, ReLU, shift and saturate in
+ * registers, as `requantize` does.
+ */
+__attribute__((target("avx512f,avx512bw"))) inline void
+finishPixelTile(const int32_t (*acc)[kTilePixels], int n_px, int n_flt,
+                const Outputs &outs, size_t o0)
+{
     __m512i r[16];
-    alignas(64) int8_t b_vnni[kChunk / 4][kTilePixels * 4];
-    alignas(64) int8_t a_tail[kTileFilters][kChunk];
-    for (size_t k = 0; k < len; k += kChunk) {
-        // The stores of this chunk's B go after the last chunk's tile
-        // loads and before this chunk's (see keepStores).
-        keepStores(b_vnni);
-        // The VNNI layout is the 4-byte transpose of the patches.
-        loadChunk(px, n_px, len, k, r);
-        transpose16x16(r);
-#pragma GCC unroll 16
-        for (size_t g = 0; g < kChunk / 4; ++g)
-            _mm512_store_si512(b_vnni[g], r[g]);
-        keepStores(b_vnni);
-        if (k + kChunk <= len) {
-            _tile_loadd(1, flt + k, len);
-        } else {
-            // A tail chunk loaded in place would read up to 63 bytes
-            // past the last filter; load its zero-padded copy.
-            loadChunk(flt, n_flt, len, k, r);
-            for (int f = 0; f < n_flt; ++f)
-                _mm512_store_si512(a_tail[f], r[f]);
-            keepStores(a_tail);
-            _tile_loadd(1, a_tail, kChunk);
-        }
-        _tile_loadd(2, b_vnni, kTilePixels * 4);
-        _tile_dpbssd(0, 1, 2);
-    }
-    alignas(64) int32_t c_out[kTileFilters][kTilePixels];
-    _tile_stored(0, c_out, kTilePixels * 4);
-    _tile_release();
-
     for (int f = 0; f < kTileFilters; ++f) {
-        r[f] = f < n_flt ? _mm512_load_si512(c_out[f])
+        r[f] = f < n_flt ? _mm512_load_si512(acc[f])
                          : _mm512_setzero_si512();
     }
     transpose16x16(r);
+    // The zero-masking forms with an all-ones mask, as in
+    // transpose16x16 (GCC PR 105593).
+    const __mmask16 all32 = 0xffff;
     const __mmask16 in_range = __mmask16((1u << n_flt) - 1);
-    for (int p = 0; p < n_px; ++p)
-        _mm512_mask_storeu_epi32(sums + p * kTileFilters, in_range, r[p]);
+    const __m128i shift = _mm_cvtsi32_si128(int(outs.shift));
+    const __m512i floor = outs.relu ? _mm512_setzero_si512()
+                                    : _mm512_set1_epi32(INT32_MIN);
+    for (int p = 0; p < n_px; ++p) {
+        const size_t o = o0 + size_t(p) * outs.stride;
+        __m512i v = r[p];
+        if (outs.res) {
+            __m128i res8 = _mm512_maskz_extracti32x4_epi32(
+                0xf, _mm512_maskz_loadu_epi8(in_range, outs.res + o),
+                0);
+            __m512i res = _mm512_maskz_cvtepi8_epi32(all32, res8);
+            v = _mm512_add_epi32(
+                v, _mm512_maskz_sll_epi32(all32, res, shift));
+        }
+        v = _mm512_maskz_sra_epi32(
+            all32, _mm512_maskz_max_epi32(all32, v, floor), shift);
+        _mm512_mask_cvtsepi32_storeu_epi8(outs.out + o, in_range, v);
+    }
+}
+
+__attribute__((target("amx-tile,amx-int8,avx512f,avx512bw"))) void
+dotBlockAmxBody(const int8_t *px, int n_px, const int8_t *flt,
+                int n_flt, size_t len, const int8_t *res,
+                unsigned shift, bool relu, int8_t *out)
+{
+    const Outputs outs{res, shift, relu, out, n_flt};
+    const int n_tiles = (n_px + kTilePixels - 1) / kTilePixels;
+    const size_t n_chunks = (len + kChunk - 1) / kChunk;
+
+    // Pack the block's patches once: B of chunk c for pixel tile t is
+    // b[c * n_tiles + t] (row g holds bytes 4g..4g+3 of every pixel),
+    // the 4-byte transpose of the patches. Pixels past n_px and bytes
+    // past len are zero. The buffer keeps its largest size (288 KB
+    // for ResNet18's 4608-byte patches).
+    static thread_local std::vector<VnniTile> b;
+    b.resize(n_chunks * n_tiles);
+    __m512i r[16];
+    for (int t = 0; t < n_tiles; ++t) {
+        const int8_t *tile_px = px + size_t(t) * kTilePixels * len;
+        const int n = std::min(kTilePixels, n_px - t * kTilePixels);
+        for (size_t c = 0; c < n_chunks; ++c) {
+            loadChunk(tile_px, n, len, c * kChunk, r);
+            transpose16x16(r);
+            VnniTile &dst = b[c * n_tiles + t];
+#pragma GCC unroll 16
+            for (size_t g = 0; g < kChunk / 4; ++g)
+                _mm512_store_si512(dst.rows[g], r[g]);
+        }
+    }
+    keepStores(b.data());
+
+    // tmm0..3 = C [filter][pixel] int32 of pixel tiles 0..3, tmm4 = A
+    // (16 filter rows, one K chunk), tmm5..7 = B of a pixel tile.
+    TileConfig cfg;
+    for (int i = 0; i < 8; ++i) {
+        cfg.rows[i] = kTileFilters;
+        cfg.colsb[i] = kChunk;
+    }
+    keepStores(&cfg);
+    _tile_loadconfig(&cfg);
+
+    alignas(64) int8_t a_pad[kTileFilters][kChunk];
+    alignas(64) int32_t c_out[4][kTileFilters][kTilePixels];
+    for (int f0 = 0; f0 < n_flt; f0 += kTileFilters) {
+        const int n_f = std::min(kTileFilters, n_flt - f0);
+        const int8_t *group = flt + size_t(f0) * len;
+        _tile_zero(0);
+        _tile_zero(1);
+        _tile_zero(2);
+        _tile_zero(3);
+        for (size_t c = 0; c < n_chunks; ++c) {
+            const size_t k = c * kChunk;
+            if (n_f == kTileFilters && k + kChunk <= len) {
+                _tile_loadd(4, group + k, len);
+            } else {
+                // In place, this chunk would read past the last
+                // filter; load its zero-padded copy. Its stores go
+                // after the last chunk's tile load (see keepStores).
+                keepStores(a_pad);
+                loadChunk(group, n_f, len, k, r);
+                for (int f = 0; f < kTileFilters; ++f)
+                    _mm512_store_si512(a_pad[f], r[f]);
+                keepStores(a_pad);
+                _tile_loadd(4, a_pad, kChunk);
+            }
+            // Tile numbers are immediates, hence the unrolled tiles.
+            const VnniTile *bc = &b[c * n_tiles];
+            _tile_loadd(5, bc[0].rows, kTilePixels * 4);
+            _tile_dpbssd(0, 4, 5);
+            if (n_tiles > 1) {
+                _tile_loadd(6, bc[1].rows, kTilePixels * 4);
+                _tile_dpbssd(1, 4, 6);
+            }
+            if (n_tiles > 2) {
+                _tile_loadd(7, bc[2].rows, kTilePixels * 4);
+                _tile_dpbssd(2, 4, 7);
+            }
+            if (n_tiles > 3) {
+                _tile_loadd(5, bc[3].rows, kTilePixels * 4);
+                _tile_dpbssd(3, 4, 5);
+            }
+        }
+        // The last group's epilogue has read c_out before these tile
+        // stores, and this group's reads it after them.
+        keepStores(c_out);
+        _tile_stored(0, c_out[0], kTilePixels * 4);
+        if (n_tiles > 1)
+            _tile_stored(1, c_out[1], kTilePixels * 4);
+        if (n_tiles > 2)
+            _tile_stored(2, c_out[2], kTilePixels * 4);
+        if (n_tiles > 3)
+            _tile_stored(3, c_out[3], kTilePixels * 4);
+        keepStores(c_out);
+        for (int t = 0; t < n_tiles; ++t) {
+            finishPixelTile(c_out[t],
+                            std::min(kTilePixels, n_px - t * kTilePixels),
+                            n_f, outs,
+                            size_t(t) * kTilePixels * n_flt + f0);
+        }
+    }
+    _tile_release();
     // As in the AVX2 body: no dirty upper zmm/ymm state may leak
     // into the SSE code that runs after this call.
     _mm256_zeroupper();
@@ -317,14 +437,16 @@ dotTileAmxBody(const int8_t *px, int n_px, const int8_t *flt,
 } // namespace
 
 void
-dotTilePortable(const int8_t *px, int n_px, const int8_t *flt,
-                int n_flt, size_t len, int32_t *sums)
+dotBlockPortable(const int8_t *px, int n_px, const int8_t *flt,
+                 int n_flt, size_t len, const int8_t *res,
+                 unsigned shift, bool relu, int8_t *out)
 {
-    forEachRegTile(regTilePortable, px, n_px, flt, n_flt, len, sums);
+    forEachRegTile(regTilePortable, px, n_px, flt, n_flt, len,
+                   Outputs{res, shift, relu, out, n_flt});
 }
 
 #ifdef MAICC_HAVE_AVX2_BODY
-const DotTileFn dotTileAvx2 = dotTileAvx2Body;
+const DotBlockFn dotBlockAvx2 = dotBlockAvx2Body;
 
 bool
 cpuHasAvx2()
@@ -332,7 +454,7 @@ cpuHasAvx2()
     return __builtin_cpu_supports("avx2");
 }
 #else
-const DotTileFn dotTileAvx2 = nullptr;
+const DotBlockFn dotBlockAvx2 = nullptr;
 
 bool
 cpuHasAvx2()
@@ -342,7 +464,7 @@ cpuHasAvx2()
 #endif
 
 #ifdef MAICC_HAVE_AMX_BODY
-const DotTileFn dotTileAmx = dotTileAmxBody;
+const DotBlockFn dotBlockAmx = dotBlockAmxBody;
 
 bool
 cpuHasAmx()
@@ -361,7 +483,7 @@ cpuHasAmx()
     return granted;
 }
 #else
-const DotTileFn dotTileAmx = nullptr;
+const DotBlockFn dotBlockAmx = nullptr;
 
 bool
 cpuHasAmx()
@@ -370,12 +492,12 @@ cpuHasAmx()
 }
 #endif
 
-DotTileFn
-dotTile()
+DotBlockFn
+dotBlock()
 {
-    static const DotTileFn chosen = cpuHasAmx() ? dotTileAmx
-        : cpuHasAvx2()                           ? dotTileAvx2
-                                                 : dotTilePortable;
+    static const DotBlockFn chosen = cpuHasAmx() ? dotBlockAmx
+        : cpuHasAvx2()                            ? dotBlockAvx2
+                                                  : dotBlockPortable;
     return chosen;
 }
 

@@ -66,28 +66,6 @@ gatherPatches(const LayerSpec &l, const Tensor3 &in, size_t q, int n,
     return taps;
 }
 
-/**
- * The aux functions of one output pixel, straight from a tile's
- * sums: residual add, ReLU and requantization of the first @p n of
- * kTileFilters sums into @p out (@p res is null without a residual
- * add). The loop runs over the whole tile row, a fixed trip count,
- * so g++ vectorises it; only the in-range bytes are stored.
- */
-void
-auxTileRow(const int32_t *sums, const int8_t *res, int n,
-           unsigned shift, bool relu, int8_t *out)
-{
-    int8_t res_tile[kTileFilters] = {};
-    if (res)
-        std::memcpy(res_tile, res, size_t(n));
-    int8_t out_tile[kTileFilters];
-    for (int f = 0; f < kTileFilters; ++f) {
-        out_tile[f] = requantize(
-            sums[f] + (int32_t(res_tile[f]) << shift), shift, relu);
-    }
-    std::memcpy(out, out_tile, size_t(n));
-}
-
 } // namespace
 
 double
@@ -367,12 +345,12 @@ MaiccSystem::runLayer(const Segment &seg,
     stats.lastOutput = last_out;
 
     // --- Functional compute, partitioned exactly as mapped. ---
-    // The output plane is cut into tiles of kTilePixels pixels,
+    // The output plane is cut into blocks of kBlockPixels pixels,
     // row-major across output rows. The units (node filter
     // fragments) and the NoC merge of their int32 partial sums fold
     // into one dot product per (pixel, filter): integer addition is
     // associative and the sums cannot overflow, so the tensors are
-    // bitwise identical to any split, on any dotTile() body. Every
+    // bitwise identical to any split, on any dotBlock() body. Every
     // unit still spends one MAC per in-bound tap.
     const Weights4 &w = weights[lm.layerIdx];
     const size_t rsc = size_t(l.R) * l.S * l.inC;
@@ -380,28 +358,17 @@ MaiccSystem::runLayer(const Segment &seg,
     maicc_assert(!residual
                  || residual->data.size() == out_pixels * l.outC);
     output_out = Tensor3(out_h, out_w, l.outC);
-    const DotTileFn dot = dotTile();
+    const DotBlockFn dot = dotBlock();
     uint64_t taps = 0;
-    std::vector<int8_t> patches(size_t(kTilePixels) * rsc);
-    // Sums a partial tile leaves unwritten keep earlier in-range
-    // sums, so the epilogue's full-width pass stays in range.
-    int32_t sums[kTilePixels * kTileFilters] = {};
-    for (size_t q = 0; q < out_pixels; q += kTilePixels) {
+    std::vector<int8_t> patches(size_t(kBlockPixels) * rsc);
+    for (size_t q = 0; q < out_pixels; q += kBlockPixels) {
         const int n_px =
-            int(std::min(out_pixels - q, size_t(kTilePixels)));
+            int(std::min(out_pixels - q, size_t(kBlockPixels)));
+        const size_t o = q * l.outC;
         taps += gatherPatches(l, input, q, n_px, patches.data());
-        for (int m = 0; m < l.outC; m += kTileFilters) {
-            int n_flt = std::min(kTileFilters, l.outC - m);
-            dot(patches.data(), n_px, &w.data[size_t(m) * rsc],
-                n_flt, rsc, sums);
-            for (int p = 0; p < n_px; ++p) {
-                size_t o = (q + p) * l.outC + m;
-                auxTileRow(&sums[p * kTileFilters],
-                           residual ? &residual->data[o] : nullptr,
-                           n_flt, l.shift, l.relu,
-                           &output_out.data[o]);
-            }
-        }
+        dot(patches.data(), n_px, w.data.data(), l.outC, rsc,
+            residual ? &residual->data[o] : nullptr, l.shift, l.relu,
+            &output_out.data[o]);
     }
     const uint64_t mac_count = taps * units;
 

@@ -102,8 +102,9 @@ runDifferential(uint64_t seed, const CoreConfig &cfg)
     ASSERT_TRUE(exec.halted());
     expectSameArchState(t, model.executor(), f, exec, seed);
     EXPECT_EQ(st.insts, exec.instsRetired());
-    if (trace::kEnabled)
+    if (trace::kEnabled) {
         EXPECT_EQ(sink.insts.size(), st.insts);
+    }
 
     check::CoreCheckParams params;
     params.wbPorts = cfg.wbPorts;

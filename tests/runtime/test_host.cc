@@ -119,6 +119,32 @@ TEST(HostScheduler, ScheduledRegionsMatchReference)
     }
 }
 
+TEST(HostScheduler, SimulatesUnderTheGivenConfig)
+{
+    // A slower router must reach every region's simulation: the
+    // same tasks scheduled under routerLatency = 6 take longer.
+    HostFixture f;
+    SystemConfig slow;
+    slow.noc.routerLatency = 6;
+    ASSERT_NE(slow.noc.routerLatency, SystemConfig{}.noc.routerLatency);
+    auto schedule = [&](const SystemConfig &cfg) {
+        HostScheduler host(210, cfg);
+        host.addTask({"camera", &f.cnn_a, &f.wa, &f.in_a, 3.0});
+        host.addTask({"radar", &f.cnn_b, &f.wb, &f.in_b, 1.0});
+        return host.schedule();
+    };
+    HostScheduleResult base = schedule(SystemConfig{});
+    HostScheduleResult slowed = schedule(slow);
+    ASSERT_EQ(base.regions.size(), 2u);
+    ASSERT_EQ(slowed.regions.size(), 2u);
+    for (size_t i = 0; i < 2; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(slowed.regions[i].taskIdx, base.regions[i].taskIdx);
+        EXPECT_GT(slowed.regions[i].latencyMs,
+                  base.regions[i].latencyMs);
+    }
+}
+
 TEST(Precision, SetPrecisionDrivesCapacity)
 {
     Network net = buildResNet18();

@@ -249,7 +249,8 @@ TEST(SystemProperty, LinearWith1000Filters)
 TEST(SystemProperty, SevenBySevenByThreeStem)
 {
     // R*S*C = 147 is no multiple of 4 (a partial VNNI group) nor of
-    // 64 (a K tail), and the 14-wide output rows fill no tile.
+    // 64 (a K tail), and the 196 output pixels end in a 4-pixel
+    // block.
     uint64_t seed = testseed::seedOrDefault(37);
     MAICC_SEED_TRACE(seed);
     Rng rng(seed);
@@ -261,8 +262,9 @@ TEST(SystemProperty, SevenBySevenByThreeStem)
 
 TEST(SystemProperty, OutputRowsNarrowerThanATile)
 {
-    // out_w of 14 and 7, below the 16-pixel tile, with a residual
-    // add on the 7-wide layer.
+    // out_w of 14 and 7, so 64-pixel blocks span several output
+    // rows and the 49-pixel layer is one partial block, with a
+    // residual add on the 7-wide layer.
     uint64_t seed = testseed::seedOrDefault(41);
     MAICC_SEED_TRACE(seed);
     Rng rng(seed);
