@@ -612,10 +612,22 @@ TEST(EngineDifferential, SystemRunIdentical)
     g.put("nocFlitHops", e.activity.nocFlitHops);
     g.put("dramAccesses", e.activity.dramAccesses);
     g.put("segments", e.segments.size());
-    for (size_t i = 0; i < e.segments.size(); ++i)
+    for (size_t i = 0; i < e.segments.size(); ++i) {
+        const SegmentRunStats &seg = e.segments[i];
         g.put("seg" + std::to_string(i),
-              std::to_string(e.segments[i].start) + " "
-                  + std::to_string(e.segments[i].end));
+              std::to_string(seg.start) + " " + std::to_string(seg.end));
+        // Each layer's chain timing: the first vector consumed, the
+        // last pixel delivered and the middle core's breakdown.
+        for (const LayerRunStats &ls : seg.layers) {
+            const std::string k = "layer" + std::to_string(ls.layerIdx);
+            g.put(k + ".firstInput", ls.firstInput);
+            g.put(k + ".lastOutput", ls.lastOutput);
+            g.put(k + ".midCore.compute", ls.midCore.compute);
+            g.put(k + ".midCore.sendIfmap", ls.midCore.sendIfmap);
+            g.put(k + ".midCore.sendOfmap", ls.midCore.sendOfmap);
+            g.put(k + ".midCore.waitIfmap", ls.midCore.waitIfmap);
+        }
+    }
     g.check();
 }
 
