@@ -1,6 +1,7 @@
 #include "runtime/int8_dot.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "nn/tensor.hh"
@@ -90,18 +91,56 @@ finishRegTile(const RegTile &t, int n_px, int n_flt, size_t k,
 using RegTileFn = void (*)(const RegTile &t, int n_px, int n_flt,
                            size_t len, const Outputs &outs, size_t o0);
 
-/** Run @p reg_tile over the register tiles of one block. */
+/**
+ * Copy the patches of the first @p n pixels of a tap table into
+ * @p dst, one contiguous run of n_taps * tap_len bytes per pixel,
+ * with zeros for null taps. Taps adjacent in memory (neighbours along
+ * an input row) and runs of null taps each take one copy.
+ */
 void
-forEachRegTile(RegTileFn reg_tile, const int8_t *px, int n_px,
-               const int8_t *flt, int n_flt, size_t len,
+packPatches(const int8_t *const *taps, int n, int n_taps, size_t tap_len,
+            int8_t *dst)
+{
+    for (int i = 0; i < n; ++i, taps += n_taps) {
+        for (int t = 0; t < n_taps;) {
+            const int8_t *run = taps[t];
+            int e = t + 1;
+            if (run) {
+                while (e < n_taps
+                       && taps[e] == run + size_t(e - t) * tap_len)
+                    ++e;
+                std::memcpy(dst, run, size_t(e - t) * tap_len);
+            } else {
+                while (e < n_taps && !taps[e])
+                    ++e;
+                std::memset(dst, 0, size_t(e - t) * tap_len);
+            }
+            dst += size_t(e - t) * tap_len;
+            t = e;
+        }
+    }
+}
+
+/**
+ * Run @p reg_tile over the register tiles of one block. Each strip of
+ * kRegPixels pixels is packed once and serves every filter pair.
+ */
+void
+forEachRegTile(RegTileFn reg_tile, const int8_t *const *taps, int n_px,
+               int n_taps, size_t tap_len, const int8_t *flt, int n_flt,
                const Outputs &outs)
 {
+    const size_t len = size_t(n_taps) * tap_len;
+    static thread_local std::vector<int8_t> strip;
+    strip.resize(kRegPixels * len);
     for (int p = 0; p < n_px; p += kRegPixels) {
+        int n_rp = std::min(kRegPixels, n_px - p);
+        packPatches(taps + size_t(p) * n_taps, n_rp, n_taps, tap_len,
+                    strip.data());
         for (int f = 0; f < n_flt; f += kRegFilters) {
-            int n_rp = std::min(kRegPixels, n_px - p);
             int n_rf = std::min(kRegFilters, n_flt - f);
-            RegTile t(px + size_t(p) * len, n_rp,
-                      flt + size_t(f) * len, n_rf, len);
+            RegTile t(strip.data(), n_rp, flt + size_t(f) * len, n_rf,
+                      len);
             reg_tile(t, n_rp, n_rf, len, outs,
                      size_t(p) * n_flt + f);
         }
@@ -170,11 +209,12 @@ regTileAvx2(const RegTile &t, int n_px, int n_flt, size_t len,
 }
 
 void
-dotBlockAvx2Body(const int8_t *px, int n_px, const int8_t *flt,
-                 int n_flt, size_t len, const int8_t *res,
-                 unsigned shift, bool relu, int8_t *out)
+dotBlockAvx2Body(const int8_t *const *taps, int n_px, int n_taps,
+                 size_t tap_len, const int8_t *flt, int n_flt,
+                 const int8_t *res, unsigned shift, bool relu,
+                 int8_t *out)
 {
-    forEachRegTile(regTileAvx2, px, n_px, flt, n_flt, len,
+    forEachRegTile(regTileAvx2, taps, n_px, n_taps, tap_len, flt, n_flt,
                    Outputs{res, shift, relu, out, n_flt});
 }
 
@@ -280,6 +320,29 @@ loadChunk(const int8_t *rows, int n, size_t len, size_t k,
     }
 }
 
+/**
+ * Load bytes [k, k + 64) of the patches of the first @p n pixels of
+ * a tap table whose taps each hold whole 64-byte chunks (tap_len a
+ * multiple of 64, or one tap per pixel), as 16 vectors: one load
+ * from the tap the chunk lies in. Bytes past len = n_taps * tap_len,
+ * null taps and pixels past @p n read as zero and are never touched.
+ */
+__attribute__((target("avx512f,avx512bw"))) inline void
+loadTapChunk(const int8_t *const *taps, int n, int n_taps,
+             size_t tap_len, size_t k, __m512i r[16])
+{
+    const size_t valid = std::min(kChunk, size_t(n_taps) * tap_len - k);
+    const __mmask64 mask = valid == kChunk ? ~__mmask64(0)
+                                           : (__mmask64(1) << valid) - 1;
+    const size_t t = k / tap_len, off = k % tap_len;
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+        const int8_t *tap = i < n ? taps[size_t(i) * n_taps + t] : nullptr;
+        r[i] = tap ? _mm512_maskz_loadu_epi8(mask, tap + off)
+                   : _mm512_setzero_si512();
+    }
+}
+
 /** One 16-pixel x 64-byte K chunk of patches in VNNI layout. */
 struct alignas(64) VnniTile
 {
@@ -327,27 +390,46 @@ finishPixelTile(const int32_t (*acc)[kTilePixels], int n_px, int n_flt,
 }
 
 __attribute__((target("amx-tile,amx-int8,avx512f,avx512bw"))) void
-dotBlockAmxBody(const int8_t *px, int n_px, const int8_t *flt,
-                int n_flt, size_t len, const int8_t *res,
-                unsigned shift, bool relu, int8_t *out)
+dotBlockAmxBody(const int8_t *const *taps, int n_px, int n_taps,
+                size_t tap_len, const int8_t *flt, int n_flt,
+                const int8_t *res, unsigned shift, bool relu,
+                int8_t *out)
 {
+    const size_t len = size_t(n_taps) * tap_len;
     const Outputs outs{res, shift, relu, out, n_flt};
     const int n_tiles = (n_px + kTilePixels - 1) / kTilePixels;
     const size_t n_chunks = (len + kChunk - 1) / kChunk;
 
-    // Pack the block's patches once: B of chunk c for pixel tile t is
-    // b[c * n_tiles + t] (row g holds bytes 4g..4g+3 of every pixel),
-    // the 4-byte transpose of the patches. Pixels past n_px and bytes
-    // past len are zero. The buffer keeps its largest size (288 KB
-    // for ResNet18's 4608-byte patches).
+    // Pack the block's patches once, straight from the tap table: B
+    // of chunk c for pixel tile t is b[c * n_tiles + t] (row g holds
+    // bytes 4g..4g+3 of every pixel), the 4-byte transpose of the
+    // patches. Pixels past n_px and bytes past len are zero. The
+    // buffer keeps its largest size (288 KB for ResNet18's 4608-byte
+    // patches).
     static thread_local std::vector<VnniTile> b;
     b.resize(n_chunks * n_tiles);
+    // Where chunks span taps (C = 3, 40, ...), each pixel tile's
+    // patches are first copied into a 16-row staging buffer, a copy
+    // per run of adjacent taps. Assembling each spanning chunk row
+    // from masked loads of its runs instead ran a 7x7x3 stem block
+    // about 1.2x slower than the copy.
+    const bool staged = n_taps > 1 && tap_len % kChunk != 0;
+    static thread_local std::vector<int8_t> stage;
+    if (staged)
+        stage.resize(kTilePixels * len);
     __m512i r[16];
     for (int t = 0; t < n_tiles; ++t) {
-        const int8_t *tile_px = px + size_t(t) * kTilePixels * len;
+        const int8_t *const *tile_taps =
+            taps + size_t(t) * kTilePixels * n_taps;
         const int n = std::min(kTilePixels, n_px - t * kTilePixels);
+        if (staged)
+            packPatches(tile_taps, n, n_taps, tap_len, stage.data());
         for (size_t c = 0; c < n_chunks; ++c) {
-            loadChunk(tile_px, n, len, c * kChunk, r);
+            if (staged)
+                loadChunk(stage.data(), n, len, c * kChunk, r);
+            else
+                loadTapChunk(tile_taps, n, n_taps, tap_len, c * kChunk,
+                             r);
             transpose16x16(r);
             VnniTile &dst = b[c * n_tiles + t];
 #pragma GCC unroll 16
@@ -437,12 +519,13 @@ dotBlockAmxBody(const int8_t *px, int n_px, const int8_t *flt,
 } // namespace
 
 void
-dotBlockPortable(const int8_t *px, int n_px, const int8_t *flt,
-                 int n_flt, size_t len, const int8_t *res,
-                 unsigned shift, bool relu, int8_t *out)
+dotBlockPortable(const int8_t *const *taps, int n_px, int n_taps,
+                 size_t tap_len, const int8_t *flt, int n_flt,
+                 const int8_t *res, unsigned shift, bool relu,
+                 int8_t *out)
 {
-    forEachRegTile(regTilePortable, px, n_px, flt, n_flt, len,
-                   Outputs{res, shift, relu, out, n_flt});
+    forEachRegTile(regTilePortable, taps, n_px, n_taps, tap_len, flt,
+                   n_flt, Outputs{res, shift, relu, out, n_flt});
 }
 
 #ifdef MAICC_HAVE_AVX2_BODY

@@ -1,6 +1,7 @@
 #include "runtime/serving.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <numeric>
@@ -160,11 +161,19 @@ ServingSimulator::loadTrace(std::istream &in)
         if (hash != std::string::npos)
             line.erase(hash);
         std::istringstream ls(line);
-        Cycles cycle;
-        std::string name;
-        if (!(ls >> cycle))
+        std::string cycle_text, name, extra;
+        if (!(ls >> cycle_text))
             continue; // blank / comment-only line
-        if (!(ls >> name))
+        // Exactly two tokens, the first all decimal digits and in
+        // range: from_chars takes no sign for an unsigned type, where
+        // `>>` would read "-5" as 2^64 - 5.
+        if (!(ls >> name) || ls >> extra)
+            return false;
+        Cycles cycle = 0;
+        const char *first = cycle_text.data();
+        const char *last = first + cycle_text.size();
+        auto [end, err] = std::from_chars(first, last, cycle);
+        if (err != std::errc() || end != last)
             return false;
         size_t model = models.size();
         for (size_t i = 0; i < models.size(); ++i) {

@@ -459,8 +459,10 @@ class ServingSimulator : public SimComponent
 
     /**
      * Load explicit arrivals for ArrivalProcess::Trace. Each line
-     * is `<cycle> <model-name>`; '#' starts a comment. Arrivals
-     * must be sorted by cycle. @return false on parse failure.
+     * is `<cycle> <model-name>`, the cycle unsigned decimal digits
+     * that fit in Cycles; '#' starts a comment. Arrivals must be
+     * sorted by cycle. @return false on parse failure (a sign,
+     * a third token, an out-of-range cycle, an unknown model).
      */
     bool loadTrace(std::istream &in);
     bool loadTraceFile(const std::string &path);

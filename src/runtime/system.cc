@@ -1,7 +1,6 @@
 #include "runtime/system.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/bitfield.hh"
 #include "common/logging.hh"
@@ -30,40 +29,42 @@ vecLinkOccupancy(unsigned n_bits)
 }
 
 /**
- * Copy the R*S*C input window of output pixels [q, q + n) (row-major
- * over the output plane) into @p patches, one run of R*S*C bytes per
- * pixel with zeros where the window falls in the padding, and return
- * their in-bound taps.
+ * Point @p taps at the R*S input channel vectors of each output pixel
+ * of [q, q + n) (row-major over the output plane), in (r, s) order,
+ * R*S entries per pixel, with null where the tap falls in the
+ * padding; return the in-bound taps.
  */
 uint64_t
-gatherPatches(const LayerSpec &l, const Tensor3 &in, size_t q, int n,
-              int8_t *patches)
+fillTaps(const LayerSpec &l, const Tensor3 &in, size_t q, int n,
+         const int8_t **taps)
 {
     const size_t c = size_t(l.inC);
-    const size_t s_bytes = size_t(l.S) * c;
-    uint64_t taps = 0;
+    uint64_t in_bound = 0;
+    int oh = int(q / l.outW()), ow = int(q % l.outW());
     for (int i = 0; i < n; ++i) {
-        int oh = int((q + i) / l.outW());
-        int ow = int((q + i) % l.outW());
         int iw0 = ow * l.stride - l.pad;
         int s_lo = std::clamp(-iw0, 0, l.S);
         int s_hi = std::clamp(l.inW - iw0, s_lo, l.S);
-        for (int r = 0; r < l.R; ++r, patches += s_bytes) {
+        for (int r = 0; r < l.R; ++r, taps += l.S) {
             int ih = oh * l.stride + r - l.pad;
-            if (ih < 0 || ih >= l.inH || s_lo == s_hi) {
-                std::memset(patches, 0, s_bytes);
-                continue;
+            int hi = ih >= 0 && ih < l.inH ? s_hi : s_lo;
+            // In bounds: 0 <= ih < inH and 0 <= iw0 + s < inW.
+            const int8_t *row = hi > s_lo
+                ? in.data.data() + (size_t(ih) * l.inW + (iw0 + s_lo)) * c
+                : nullptr;
+            for (int s = 0; s < l.S; ++s) {
+                taps[s] = s >= s_lo && s < hi
+                    ? row + size_t(s - s_lo) * c
+                    : nullptr;
             }
-            std::memset(patches, 0, size_t(s_lo) * c);
-            std::memcpy(patches + size_t(s_lo) * c,
-                        &in.data[in.index(ih, iw0 + s_lo, 0)],
-                        size_t(s_hi - s_lo) * c);
-            std::memset(patches + size_t(s_hi) * c, 0,
-                        size_t(l.S - s_hi) * c);
-            taps += unsigned(s_hi - s_lo);
+            in_bound += unsigned(hi - s_lo);
+        }
+        if (++ow == l.outW()) {
+            ow = 0;
+            ++oh;
         }
     }
-    return taps;
+    return in_bound;
 }
 
 } // namespace
@@ -260,43 +261,51 @@ MaiccSystem::runLayer(const Segment &seg,
     stats.layerIdx = lm.layerIdx;
     stats.alloc = alloc;
 
-    // --- Data-collection core: in-order vector assembly. ---
-    std::vector<Cycles> avail(in_pixels);
+    // --- Data-collection core and compute-core chain. ---
+    // The DC core assembles input vector p in order and hands it to
+    // chain core 0 at avail_0(p). Core k starts vector p at
+    //   start(k, p) = max(avail_k(p), start(k, p - 1) + iter),
+    // the second arm being seg_start for p = 0 (single-buffered: a
+    // core takes the next vector only when it has finished the last
+    // one), and forwards it to core k + 1 after its compute phase, the
+    // link drain of N*9 flits and the hop latency:
+    //   avail_{k+1}(p) = start(k, p) + fwd,
+    //   fwd = max(cmem, accumulate) + link + hop.
+    // With fwd and iter constant over the layer, induction on k and
+    // then p gives start(k, p) = start(0, p) + k*fwd. Given it for
+    // (k - 1, p) and (k, p - 1), the first arm is start(0, p) + k*fwd
+    // and the second start(0, p - 1) + iter + k*fwd, which is no
+    // later, since start(0, p) >= start(0, p - 1) + iter; for p = 0
+    // the second arm is seg_start <= start(0, 0). So one pass over the
+    // pixels gives core 0's starts and from them every core's cycles,
+    // exactly those of stepping each core over each vector: the last
+    // core finishes vector p at start(0, p) + (chain - 1)*fwd + iter,
+    // and the middle core waits start(0, p) - start(0, p - 1) - iter
+    // for it (start(0, 0) + mid*fwd - seg_start for p = 0).
+    maicc_assert(chain > 0);
+    const unsigned mid = chain / 2;
+    const Cycles fwd = std::max(cost.cmem, cost.accumulate) + link + hop;
+    const Cycles mid_off = Cycles(mid) * fwd;
+    const Cycles last_off = Cycles(chain - 1) * fwd + iter;
+    std::vector<Cycles> done(in_pixels);
+    double wait_sum = 0;
     {
         Cycles dc_free = seg_start;
+        Cycles prev_done = seg_start; // core 0's finish of vector p - 1
         for (size_t p = 0; p < in_pixels; ++p) {
             Cycles in_at = std::max(input_ready[p], seg_start);
             dc_free = std::max(in_at, dc_free) + dc_iter;
-            avail[p] = dc_free + hop;
+            Cycles start = std::max(dc_free + hop, prev_done);
+            // The middle core's start minus the end of its last
+            // vector (seg_start for p = 0).
+            wait_sum += double(start + mid_off)
+                - double(p == 0 ? seg_start : prev_done + mid_off);
+            prev_done = start + iter;
+            done[p] = start + last_off;
         }
         stats.firstInput = std::max(input_ready[0], seg_start);
     }
-
-    // --- Compute-core chain: single-buffered pipeline. ---
-    // Each core's start time depends on its predecessor's finish
-    // time (back-pressure), so the chain is a serial wavefront —
-    // O(chain x pixels), negligible next to the functional MACs.
-    unsigned mid = chain / 2;
-    std::vector<Cycles> done(in_pixels);
-    double wait_sum = 0;
-    for (unsigned k = 0; k < chain; ++k) {
-        Cycles prev_done = seg_start;
-        for (size_t p = 0; p < in_pixels; ++p) {
-            Cycles start = std::max(avail[p], prev_done);
-            if (k == mid)
-                wait_sum += double(start) - double(std::max(
-                    prev_done, seg_start));
-            Cycles fin = start + iter;
-            done[p] = fin;
-            prev_done = fin;
-            // Forward to the next core: compute phase, then the
-            // link drains N*9 flits plus the hop latency.
-            Cycles compute_phase = std::max(cost.cmem,
-                                            cost.accumulate);
-            avail[p] = start + compute_phase + link + hop;
-        }
-    }
-    if (chain > 0 && in_pixels > 0) {
+    if (in_pixels > 0) {
         stats.midCore.compute =
             double(std::max(cost.cmem, cost.accumulate));
         stats.midCore.sendIfmap = double(cost.forward);
@@ -359,14 +368,16 @@ MaiccSystem::runLayer(const Segment &seg,
                  || residual->data.size() == out_pixels * l.outC);
     output_out = Tensor3(out_h, out_w, l.outC);
     const DotBlockFn dot = dotBlock();
+    const int n_taps = l.R * l.S;
     uint64_t taps = 0;
-    std::vector<int8_t> patches(size_t(kBlockPixels) * rsc);
+    std::vector<const int8_t *> tap_table(size_t(kBlockPixels) * n_taps);
     for (size_t q = 0; q < out_pixels; q += kBlockPixels) {
         const int n_px =
             int(std::min(out_pixels - q, size_t(kBlockPixels)));
         const size_t o = q * l.outC;
-        taps += gatherPatches(l, input, q, n_px, patches.data());
-        dot(patches.data(), n_px, w.data.data(), l.outC, rsc,
+        taps += fillTaps(l, input, q, n_px, tap_table.data());
+        dot(tap_table.data(), n_px, n_taps, size_t(l.inC),
+            w.data.data(), l.outC,
             residual ? &residual->data[o] : nullptr, l.shift, l.relu,
             &output_out.data[o]);
     }

@@ -5,7 +5,11 @@
  * length up to 600, the layer shapes of ResNet18, every block width
  * (1..64 pixels), filter counts up to the 1000 of the FC head, the
  * residual add on and off, ReLU on and off, shifts 0..31, the -128/127
- * extremes, and 64 random shapes called back to back. The AMX and
+ * extremes, and 64 random shapes called back to back, each pixel's
+ * patch one tap of the tap table; then tap tables proper: convolution
+ * windows with padding at every border, stride 2 and channel counts
+ * whose 64-byte chunks lie inside one tap or span taps, and random
+ * tables of null, adjacent and scattered taps. The AMX and
  * AVX2 cases skip, saying so, on a host that cannot run them, so the
  * portable body is tested on every host; DotTileDispatch prints which
  * bodies this host runs.
@@ -16,7 +20,7 @@
  * from the full int8 range and shifts by about the spread of the sums.
  *
  * Operands and outputs end exactly at a guard page: a body that reads
- * or writes past its last pixel, filter, residual or output faults.
+ * or writes past its last tap, filter, residual or output faults.
  * ASan alone would miss that for the AMX body, whose tile loads are
  * inline asm.
  */
@@ -24,7 +28,9 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -119,34 +125,88 @@ class GuardedBytes
 struct Block
 {
     int nPx = 0, nFlt = 0;
-    size_t len = 0;
-    std::vector<int8_t> px, flt, res; ///< res empty: no residual add
+    int nTaps = 1;     ///< taps per pixel
+    size_t tapLen = 0; ///< bytes per tap
+    size_t len = 0;    ///< nTaps * tapLen
+    /** The bytes the taps point into; tap (p, t) is at
+     * src[tapAt[p * nTaps + t]], or null where that is negative. */
+    std::vector<int8_t> src;
+    std::vector<ptrdiff_t> tapAt;
+    std::vector<int8_t> flt, res; ///< res empty: no residual add
     unsigned shift = 0;
     bool relu = false;
 
-    /** Random operands; a residual when @p with_res. */
+    /**
+     * @p n_px pixels of one tap each, a whole patch of @p len bytes;
+     * the patches sit back to back in @p bytes.
+     */
     static Block
-    random(Rng &rng, int n_px, int n_flt, size_t len, bool narrow,
-           bool with_res, bool relu)
+    wholePatches(int n_px, int n_flt, size_t len,
+                 std::vector<int8_t> bytes)
     {
         Block b;
         b.nPx = n_px;
         b.nFlt = n_flt;
-        b.len = len;
-        b.px = operands(rng, size_t(n_px) * len, narrow);
-        b.flt = operands(rng, size_t(n_flt) * len, narrow);
-        if (with_res)
-            b.res = operands(rng, size_t(n_px) * n_flt, false);
-        b.shift = spreadShift(len, narrow);
-        b.relu = relu;
+        b.tapLen = b.len = len;
+        b.src = std::move(bytes);
+        for (int p = 0; p < n_px; ++p)
+            b.tapAt.push_back(ptrdiff_t(p) * ptrdiff_t(len));
         return b;
+    }
+
+    /** Random whole-patch operands; a residual when @p with_res. */
+    static Block
+    random(Rng &rng, int n_px, int n_flt, size_t len, bool narrow,
+           bool with_res, bool relu)
+    {
+        Block b = wholePatches(n_px, n_flt, len,
+                               operands(rng, size_t(n_px) * len, narrow));
+        b.randomRest(rng, narrow, with_res, relu);
+        return b;
+    }
+
+    /** Random filters, residual and settings, once the taps are set. */
+    void
+    randomRest(Rng &rng, bool narrow, bool with_res, bool relu_on)
+    {
+        flt = operands(rng, size_t(nFlt) * len, narrow);
+        if (with_res)
+            res = operands(rng, size_t(nPx) * nFlt, false);
+        shift = spreadShift(len, narrow);
+        relu = relu_on;
+    }
+
+    /** The tap table with its pointers into @p base (a copy of src). */
+    std::vector<const int8_t *>
+    taps(const int8_t *base) const
+    {
+        std::vector<const int8_t *> t;
+        for (ptrdiff_t at : tapAt)
+            t.push_back(at < 0 ? nullptr : base + at);
+        return t;
+    }
+
+    /** Pixel @p p's patch: its taps in order, zeros for null ones. */
+    std::vector<int8_t>
+    patch(int p) const
+    {
+        std::vector<int8_t> x;
+        for (int t = 0; t < nTaps; ++t) {
+            ptrdiff_t at = tapAt[size_t(p) * nTaps + t];
+            if (at < 0)
+                x.insert(x.end(), tapLen, 0);
+            else
+                x.insert(x.end(), src.begin() + at,
+                         src.begin() + at + ptrdiff_t(tapLen));
+        }
+        return x;
     }
 
     /** The scalar reference output of (pixel p, filter f). */
     int8_t
     want(int p, int f) const
     {
-        int64_t sum = scalarDot(&px[size_t(p) * len],
+        int64_t sum = scalarDot(patch(p).data(),
                                 &flt[size_t(f) * len], len);
         if (!res.empty())
             sum += int64_t(res[size_t(p) * nFlt + f]) << shift;
@@ -157,13 +217,50 @@ struct Block
     std::string
     describe() const
     {
-        return "len " + std::to_string(len) + ", block "
+        return "len " + std::to_string(len) + " (" + std::to_string(nTaps)
+            + " taps of " + std::to_string(tapLen) + "), block "
             + std::to_string(nPx) + "x" + std::to_string(nFlt)
             + ", shift " + std::to_string(shift)
             + (relu ? ", relu" : "")
             + (res.empty() ? "" : ", residual");
     }
 };
+
+/**
+ * The output pixels [q, q + n) of an R x S convolution with stride
+ * @p stride and padding @p pad over a random h x w x c HWC input
+ * (row-major over the output plane), as a block: the taps point into
+ * the input as MaiccSystem::runLayer points them, null in the
+ * padding.
+ */
+Block
+convBlock(Rng &rng, int h, int w, int c, int r_k, int s_k, int stride,
+          int pad, size_t q, int n, int n_flt, bool narrow,
+          bool with_res, bool relu)
+{
+    Block b;
+    b.nPx = n;
+    b.nFlt = n_flt;
+    b.nTaps = r_k * s_k;
+    b.tapLen = size_t(c);
+    b.len = size_t(b.nTaps) * b.tapLen;
+    b.src = operands(rng, size_t(h) * w * c, narrow);
+    const int out_w = (w + 2 * pad - s_k) / stride + 1;
+    for (int i = 0; i < n; ++i) {
+        const int oh = int((q + i) / out_w), ow = int((q + i) % out_w);
+        for (int r = 0; r < r_k; ++r) {
+            for (int s = 0; s < s_k; ++s) {
+                const int ih = oh * stride + r - pad;
+                const int iw = ow * stride + s - pad;
+                b.tapAt.push_back(ih >= 0 && ih < h && iw >= 0 && iw < w
+                                      ? (ptrdiff_t(ih) * w + iw) * c
+                                      : -1);
+            }
+        }
+    }
+    b.randomRest(rng, narrow, with_res, relu);
+    return b;
+}
 
 /** The checks every body runs; SetUp() picks the body. */
 class BodyTest : public ::testing::Test
@@ -185,13 +282,13 @@ class BodyTest : public ::testing::Test
     std::vector<int8_t>
     run(const Block &b)
     {
-        GuardedBytes g_px(b.px), g_flt(b.flt);
+        GuardedBytes g_src(b.src), g_flt(b.flt);
         GuardedBytes g_res(b.res);
         GuardedBytes g_out(std::vector<int8_t>(
             size_t(b.nPx) * b.nFlt, int8_t(0x5a)));
-        body(g_px.data(), b.nPx, g_flt.data(), b.nFlt, b.len,
-             b.res.empty() ? nullptr : g_res.data(), b.shift, b.relu,
-             g_out.data());
+        body(b.taps(g_src.data()).data(), b.nPx, b.nTaps, b.tapLen,
+             g_flt.data(), b.nFlt, b.res.empty() ? nullptr : g_res.data(),
+             b.shift, b.relu, g_out.data());
         return std::vector<int8_t>(
             g_out.data(), g_out.data() + size_t(b.nPx) * b.nFlt);
     }
@@ -333,11 +430,9 @@ class BodyTest : public ::testing::Test
             for (int8_t w : {int8_t(-128), int8_t(127)}) {
                 for (unsigned shift : {0u, 20u}) {
                     for (int8_t r : {int8_t(-128), int8_t(127)}) {
-                        Block b;
-                        b.nPx = kBlockPixels;
-                        b.nFlt = 16;
-                        b.len = len;
-                        b.px.assign(size_t(b.nPx) * len, a);
+                        Block b = Block::wholePatches(
+                            kBlockPixels, 16, len,
+                            std::vector<int8_t>(kBlockPixels * len, a));
                         b.flt.assign(size_t(b.nFlt) * len, w);
                         b.res.assign(size_t(b.nPx) * b.nFlt, r);
                         b.shift = shift;
@@ -353,11 +448,9 @@ class BodyTest : public ::testing::Test
         for (auto [n_px, n_flt, len] :
              {std::tuple{3, 1, size_t(147)}, std::tuple{7, 1000, size_t(513)},
               std::tuple{50, 24, size_t(147)}}) {
-            Block b;
-            b.nPx = n_px;
-            b.nFlt = n_flt;
-            b.len = len;
-            b.px.assign(size_t(n_px) * len, -128);
+            Block b = Block::wholePatches(
+                n_px, n_flt, len,
+                std::vector<int8_t>(size_t(n_px) * len, -128));
             b.flt.assign(size_t(n_flt) * len, -128);
             b.shift = 16;
             check(b);
@@ -386,15 +479,97 @@ class BodyTest : public ::testing::Test
         std::vector<std::vector<int8_t>> outs(kJobs);
         for (size_t j = 0; j < kJobs; ++j) {
             const Block &b = jobs[j];
+            const std::vector<const int8_t *> taps = b.taps(b.src.data());
             outs[j].resize(size_t(b.nPx) * b.nFlt);
             for (int rep = 0; rep < 8; ++rep) {
-                body(b.px.data(), b.nPx, b.flt.data(), b.nFlt, b.len,
-                     b.res.empty() ? nullptr : b.res.data(), b.shift,
-                     b.relu, outs[j].data());
+                body(taps.data(), b.nPx, b.nTaps, b.tapLen, b.flt.data(),
+                     b.nFlt, b.res.empty() ? nullptr : b.res.data(),
+                     b.shift, b.relu, outs[j].data());
             }
         }
         for (size_t j = 0; j < kJobs; ++j)
             expectOutputs(jobs[j], outs[j]);
+    }
+
+    void
+    tapTablesOverConvWindows()
+    {
+        uint64_t seed = testseed::seedOrDefault(43);
+        MAICC_SEED_TRACE(seed);
+        Rng rng(seed);
+        // Channel counts whose 64-byte K chunks lie inside one tap (64,
+        // 128) or span taps (3, 40, 72), under 3x3 windows padded at
+        // every border at strides 1 and 2, a 7x7 stride-2 stem and an
+        // unpadded 1x1 stride-2 conv, over every output pixel of a
+        // 9 x 9 input. The input ends at the guard page, so the last
+        // block's last in-bound tap (the bottom-right input pixel)
+        // does too.
+        struct Geometry
+        {
+            int r, s, stride, pad;
+        };
+        const int hw = 9;
+        int n = 0;
+        for (int c : {3, 40, 64, 72, 128}) {
+            for (Geometry g : {Geometry{3, 3, 1, 1}, Geometry{3, 3, 2, 1},
+                               Geometry{7, 7, 2, 3}, Geometry{1, 1, 2, 0}}) {
+                const int out = (hw + 2 * g.pad - g.r) / g.stride + 1;
+                const size_t out_px = size_t(out) * out;
+                for (size_t q = 0; q < out_px; q += kBlockPixels) {
+                    ++n;
+                    const int n_px = int(
+                        std::min(out_px - q, size_t(kBlockPixels)));
+                    check(convBlock(rng, hw, hw, c, g.r, g.s, g.stride,
+                                    g.pad, q, n_px, n % 2 ? 17 : 33,
+                                    n % 3 == 0, n % 2 == 0, n % 4 < 2));
+                }
+            }
+        }
+    }
+
+    void
+    randomTapTables()
+    {
+        uint64_t seed = testseed::seedOrDefault(47);
+        MAICC_SEED_TRACE(seed);
+        Rng rng(seed);
+        // Taps anywhere in one source: about a quarter null and half of
+        // the rest right after the tap before them in memory, so runs
+        // of adjacent and of null taps start and end at any K offset.
+        // Tap lengths sit around the 4-, 16- and 64-byte boundaries,
+        // and the last pixel's last tap ends at the guard page.
+        for (size_t tap_len : {1, 2, 3, 5, 15, 16, 17, 40, 63, 64, 65,
+                               72, 128, 130}) {
+            for (int rep = 0; rep < 4; ++rep) {
+                Block b;
+                b.nPx = 1 + int(rng.below(kBlockPixels));
+                b.nFlt = 1 + int(rng.below(40));
+                b.nTaps = 1 + int(rng.below(9));
+                b.tapLen = tap_len;
+                b.len = size_t(b.nTaps) * tap_len;
+                const bool narrow = rep % 2;
+                b.src = operands(rng, 16 * b.len, narrow);
+                const size_t last = b.src.size() - tap_len;
+                for (int p = 0; p < b.nPx; ++p) {
+                    ptrdiff_t prev = -1;
+                    for (int t = 0; t < b.nTaps; ++t) {
+                        ptrdiff_t at = ptrdiff_t(rng.below(last + 1));
+                        const uint64_t pick = rng.below(8);
+                        if (pick < 2)
+                            at = -1;
+                        else if (pick < 5 && prev >= 0
+                                 && size_t(prev) + 2 * tap_len
+                                     <= b.src.size())
+                            at = prev + ptrdiff_t(tap_len);
+                        b.tapAt.push_back(at);
+                        prev = at;
+                    }
+                }
+                b.tapAt.back() = ptrdiff_t(last);
+                b.randomRest(rng, narrow, rep < 2, rep % 3 == 0);
+                check(b);
+            }
+        }
     }
 
     DotBlockFn body = nullptr;
@@ -432,6 +607,8 @@ TEST_P(DotTile, FilterCountsUpTo1000) { filterCountsUpTo1000(); }
 TEST_P(DotTile, ResidualReluAndShifts) { residualReluAndShifts(); }
 TEST_P(DotTile, ExtremeOperands) { extremeOperands(); }
 TEST_P(DotTile, RandomShapesInSequence) { randomShapesInSequence(); }
+TEST_P(DotTile, TapTablesOverConvWindows) { tapTablesOverConvWindows(); }
+TEST_P(DotTile, RandomTapTables) { randomTapTables(); }
 
 TEST_F(DotTileAmx, EveryLengthUpTo600) { everyLengthUpTo600(); }
 TEST_F(DotTileAmx, ResNet18FilterSizes) { resNet18FilterSizes(); }
@@ -440,6 +617,11 @@ TEST_F(DotTileAmx, FilterCountsUpTo1000) { filterCountsUpTo1000(); }
 TEST_F(DotTileAmx, ResidualReluAndShifts) { residualReluAndShifts(); }
 TEST_F(DotTileAmx, ExtremeOperands) { extremeOperands(); }
 TEST_F(DotTileAmx, RandomShapesInSequence) { randomShapesInSequence(); }
+TEST_F(DotTileAmx, TapTablesOverConvWindows)
+{
+    tapTablesOverConvWindows();
+}
+TEST_F(DotTileAmx, RandomTapTables) { randomTapTables(); }
 
 #if defined(__x86_64__)
 /** True when XGETBV with ECX = 1 (the XINUSE bitmap) is supported. */

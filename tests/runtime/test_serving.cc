@@ -240,6 +240,20 @@ TEST(Serving, TraceRejectsMalformedInput)
     EXPECT_FALSE(sim->loadTrace(unknown));
     std::istringstream unsorted("2000 camera\n1000 radar\n");
     EXPECT_FALSE(sim->loadTrace(unsorted));
+    // A sign, a token after the model name, a cycle past 2^64 - 1,
+    // a cycle with trailing letters, and a line with no cycle or no
+    // model.
+    for (const char *bad :
+         {"1000 camera\n-5 camera\n", "+5 camera\n",
+          "5 camera extra\n", "5 camera # ok\n5 radar 7\n",
+          "18446744073709551616 camera\n", "5x camera\n",
+          "camera 5\n", "5\n"}) {
+        std::istringstream in(bad);
+        EXPECT_FALSE(sim->loadTrace(in)) << bad;
+    }
+    // The largest cycle and a trailing comment still load.
+    std::istringstream edge("18446744073709551615 camera # last\n");
+    EXPECT_TRUE(sim->loadTrace(edge));
 }
 
 TEST(Serving, BatchingGroupsSameModelQueuedRequests)

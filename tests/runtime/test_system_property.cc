@@ -6,9 +6,12 @@
  * count of in-bound taps x totalUnits x nBits^2. The shapes reach
  * the dot-product kernel's tails that the fixed fixtures (channel
  * counts that are multiples of 16, operands in [-5, 5]) never do:
- * odd channel counts, channel splits above 256, stride 2, padding
- * and residual adds.
+ * odd channel counts, channel counts whose 64-byte K chunks each lie
+ * inside one tap (C % 64 == 0) and ones whose chunks span taps,
+ * channel splits above 256, stride 2, padding and residual adds.
  */
+
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -26,6 +29,7 @@ namespace
 struct Coverage
 {
     bool oddChannels = false;  ///< a C not a multiple of 16
+    bool wholeChunks = false;  ///< a C that is a multiple of 64
     bool split = false;        ///< a C above 256, not a multiple of it
     bool stride2 = false;
     bool padding = false;
@@ -36,10 +40,11 @@ struct Coverage
 Network
 randomNetwork(Rng &rng, Coverage &cov)
 {
-    static const int kChannels[] = {3, 5, 17, 40, 72, 300};
+    static const int kChannels[] = {3, 5, 17, 40, 64, 72, 128, 300};
     auto channels = [&] {
-        int c = kChannels[rng.below(6)];
+        int c = kChannels[rng.below(std::size(kChannels))];
         cov.oddChannels |= c % 16 != 0;
+        cov.wholeChunks |= c % 64 == 0;
         cov.split |= c > 256;
         return c;
     };
@@ -217,6 +222,7 @@ TEST(SystemProperty, FullRangeNetworksMatchReferenceBitExactly)
     uint64_t pinned = 0;
     if (!testseed::envSeed(pinned)) {
         EXPECT_TRUE(cov.oddChannels);
+        EXPECT_TRUE(cov.wholeChunks);
         EXPECT_TRUE(cov.split);
         EXPECT_TRUE(cov.stride2);
         EXPECT_TRUE(cov.padding);
